@@ -146,17 +146,21 @@ class CutpointGrid:
 
 
 _NO_NODE = -1
+# ``feature`` tag of an arena slot on the free list, so every structure query
+# is one pass over ``feature``
+_FREE = -2
 
 
 class DecisionTree:
     """Binary regression tree stored as an indexed node arena.
 
-    Node ``i`` is a leaf iff ``feature[i] < 0``; internal nodes carry an
-    axis-aligned rule ``x[feature] <= cutpoint`` routing left. Freed slots
-    are recycled through a free list so ids stay small during sampling.
-    ``accept_prob[i]`` is a bookkeeping tag on internal nodes: the
-    Metropolis-Hastings acceptance probability min(1, r) of the move that
-    created or last modified the rule at ``i``.
+    Node ``i`` is a leaf iff ``feature[i] == -1`` and internal iff
+    ``feature[i] >= 0``; internal nodes carry an axis-aligned rule
+    ``x[feature] <= cutpoint`` routing left. Freed slots are tagged
+    ``feature == -2`` and recycled through a free list so ids stay small
+    during sampling. ``accept_prob[i]`` is a bookkeeping tag on internal
+    nodes: the Metropolis-Hastings acceptance probability min(1, r) of the
+    move that created or last modified the rule at ``i``.
     """
 
     __slots__ = (
@@ -189,6 +193,7 @@ class DecisionTree:
         return t
 
     # -- structure queries ------------------------------------------------
+    # Every id list is ascending: the sampler draws from them by position.
 
     @property
     def arena_size(self) -> int:
@@ -199,25 +204,25 @@ class DecisionTree:
 
     def node_ids(self) -> list[int]:
         """Live node ids in increasing order."""
-        dead = set(self._free)
-        return [i for i in range(len(self.feature)) if i not in dead]
+        return [i for i, f in enumerate(self.feature) if f != _FREE]
 
     def leaf_ids(self) -> list[int]:
-        return [i for i in self.node_ids() if self.feature[i] < 0]
+        return [i for i, f in enumerate(self.feature) if f == _NO_NODE]
 
     def internal_ids(self) -> list[int]:
-        return [i for i in self.node_ids() if self.feature[i] >= 0]
+        return [i for i, f in enumerate(self.feature) if f >= 0]
 
     def prunable_ids(self) -> list[int]:
         """Internal nodes whose children are both leaves."""
-        out = []
-        for i in self.internal_ids():
-            if self.feature[self.left[i]] < 0 and self.feature[self.right[i]] < 0:
-                out.append(i)
-        return out
+        feature, left, right = self.feature, self.left, self.right
+        return [
+            i
+            for i, f in enumerate(feature)
+            if f >= 0 and feature[left[i]] < 0 and feature[right[i]] < 0
+        ]
 
     def n_leaves(self) -> int:
-        return len(self.leaf_ids())
+        return self.feature.count(_NO_NODE)
 
     def depth(self, i: int) -> int:
         d = 0
@@ -265,6 +270,7 @@ class DecisionTree:
         if l == _NO_NODE or self.feature[l] >= 0 or self.feature[r] >= 0:
             raise ValueError(f"node {i} is not prunable")
         self._free.extend((l, r))
+        self.feature[l] = self.feature[r] = _FREE
         self.feature[i] = _NO_NODE
         self.left[i] = _NO_NODE
         self.right[i] = _NO_NODE
@@ -322,6 +328,9 @@ class DecisionTree:
             else:
                 assert self.left[i] == _NO_NODE and self.right[i] == _NO_NODE
         assert seen == set(self.node_ids()), "arena contains unreachable live nodes"
+        assert sorted(self._free) == [i for i, f in enumerate(self.feature) if f == _FREE], (
+            "free list and free-slot tags disagree"
+        )
         assert self.parent[self.root] == _NO_NODE
 
 

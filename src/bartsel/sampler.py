@@ -15,10 +15,21 @@ shrinks splitting toward a sparse subset of features.
 
 The response is min-max scaled to [-0.5, 0.5] internally; recorded noise
 variances and predictions are reported back in original units.
+
+Row-index invariant: for every tree t and every live node i,
+``node_rows[t][i]`` is the ascending array of the rows routed through i, so
+a node's rows are the concatenation of its children's, merged in order, and
+``assign[t][r]`` is the leaf that row r reaches. A BIRTH splits the leaf's
+array by the new rule, a CHANGE re-splits the node's own array, a DEATH
+drops the two children's. The MH sums gather ``r_t[rows]``, which is element
+for element the array a mask scan ``r_t[assign[t] == i]`` gives, so every
+float sum rounds as a full scan would without costing O(n).
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 import warnings
 from dataclasses import asdict, dataclass
@@ -31,7 +42,6 @@ from .data import (
     CutpointGrid,
     Dataset,
     DecisionTree,
-    EnsembleState,
     FitConfig,
     PosteriorTrace,
 )
@@ -108,11 +118,10 @@ class LeafSufficientStats:
 def leaf_posterior(n_leaf, sum_r, sigma2: float, sigma_mu2: float):
     """Gaussian full-conditional (mean, variance) of a leaf value.
 
-    v = 1/(n/sigma2 + 1/sigma_mu2), m = v * sum_r / sigma2. Vectorized over
-    arrays of (n_leaf, sum_r); n_leaf = 0 recovers the N(0, sigma_mu2) prior.
+    v = 1/(n/sigma2 + 1/sigma_mu2), m = v * sum_r / sigma2. Elementwise over
+    numbers or numpy arrays of (n_leaf, sum_r); n_leaf = 0 recovers the
+    N(0, sigma_mu2) prior.
     """
-    n_leaf = np.asarray(n_leaf, dtype=np.float64)
-    sum_r = np.asarray(sum_r, dtype=np.float64)
     v = 1.0 / (n_leaf / sigma2 + 1.0 / sigma_mu2)
     m = v * sum_r / sigma2
     return m, v
@@ -148,18 +157,29 @@ def calibrate_lambda(y_scaled: np.ndarray, nu: float = 3.0, q: float = 0.9) -> f
 
 
 # -- marginal-likelihood machinery -------------------------------------------
+#
+# Bit-exactness: each transcendental stays in the library it has always used.
+# The node gains take ``np.log1p``; ``math.log1p`` rounds differently on a few
+# percent of inputs (about 3% on an AVX-512 x86-64 CPU), and so do
+# ``math.log``/``math.exp`` against their numpy loops, so a switch would
+# change the chain. ``np.log1p`` gives the same bits for an array of any
+# length as for a 0-d input, so each move makes one call over all its gains.
+# The rest is Python-float + - * / in the order of the elementwise formula,
+# which IEEE rounding makes equal to the numpy arithmetic. The kernel and
+# prior log ratios and the acceptance exp have always used ``math``.
 
 
-def _node_gain(n, s, sigma2: float, sigma_mu2: float):
-    """Log marginal likelihood of one leaf's residuals, dropping the terms
-    that are constant across tree topologies for fixed assigned data:
+def _node_gains(ns, sums, sigma2: float, sigma_mu2: float) -> list[float]:
+    """Log marginal likelihood of each leaf's residuals given its count and
+    residual sum, dropping the terms that are constant across tree
+    topologies for fixed assigned data:
     -0.5*log(1 + n*sigma_mu2/sigma2) + sigma_mu2*s^2 / (2*sigma2*(sigma2 + n*sigma_mu2)).
     """
-    n = np.asarray(n, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    return -0.5 * np.log1p(n * sigma_mu2 / sigma2) + sigma_mu2 * s * s / (
-        2.0 * sigma2 * (sigma2 + n * sigma_mu2)
-    )
+    logs = np.log1p([n * sigma_mu2 / sigma2 for n in ns]).tolist()
+    return [
+        -0.5 * lg + sigma_mu2 * s * s / (2.0 * sigma2 * (sigma2 + n * sigma_mu2))
+        for n, s, lg in zip(ns, sums, logs)
+    ]
 
 
 def split_loglik_gain(
@@ -170,11 +190,13 @@ def split_loglik_gain(
 ) -> float:
     """Log marginal-likelihood ratio of splitting one leaf into (left, right)
     versus leaving it whole. The residual sum-of-squares terms cancel."""
-    return float(
-        _node_gain(left.n_leaf, left.sum_r, sigma2, sigma_mu2)
-        + _node_gain(right.n_leaf, right.sum_r, sigma2, sigma_mu2)
-        - _node_gain(left.n_leaf + right.n_leaf, left.sum_r + right.sum_r, sigma2, sigma_mu2)
+    g_left, g_right, g_parent = _node_gains(
+        (left.n_leaf, right.n_leaf, left.n_leaf + right.n_leaf),
+        (left.sum_r, right.sum_r, left.sum_r + right.sum_r),
+        sigma2,
+        sigma_mu2,
     )
+    return g_left + g_right - g_parent
 
 
 @dataclass(frozen=True)
@@ -219,6 +241,32 @@ def _prunable_after_birth(tree: DecisionTree, node: int) -> int:
     return w2 + 1
 
 
+def _birth_log_ratio(
+    n_leaves: int,
+    n_prunable_after: int,
+    depth: int,
+    n_left: int,
+    s_left: float,
+    n_right: int,
+    s_right: float,
+    s_parent: float,
+    sigma2: float,
+    priors: TreePriors,
+) -> float:
+    """The one BIRTH log MH ratio: transition-kernel ratio x tree-prior ratio
+    x marginal-likelihood ratio. A DEATH is its exact negation. The parent
+    sum is passed in rather than re-added, so each caller keeps its own
+    rounding of it."""
+    g_left, g_right, g_parent = _node_gains(
+        (n_left, n_right, n_left + n_right), (s_left, s_right, s_parent), sigma2, priors.sigma_mu2
+    )
+    return (
+        _kernel_log_ratio(n_leaves, n_prunable_after, priors.p_birth, priors.p_death)
+        + _birth_prior_log_ratio(depth, priors.gamma, priors.beta)
+        + (g_left + g_right - g_parent)
+    )
+
+
 def birth_log_ratio(
     tree: DecisionTree,
     node: int,
@@ -234,12 +282,18 @@ def birth_log_ratio(
         raise ValueError(f"node {node} is not a leaf")
     if left.n_leaf == 0 or right.n_leaf == 0:
         raise RuleExhaustedError("proposed rule routes no observations to one child")
-    kernel = _kernel_log_ratio(
-        tree.n_leaves(), _prunable_after_birth(tree, node), priors.p_birth, priors.p_death
+    return _birth_log_ratio(
+        tree.n_leaves(),
+        _prunable_after_birth(tree, node),
+        tree.depth(node),
+        left.n_leaf,
+        left.sum_r,
+        right.n_leaf,
+        right.sum_r,
+        left.sum_r + right.sum_r,
+        sigma2,
+        priors,
     )
-    prior = _birth_prior_log_ratio(tree.depth(node), priors.gamma, priors.beta)
-    gain = split_loglik_gain(left, right, sigma2, priors.sigma_mu2)
-    return kernel + prior + gain
 
 
 def birth_ratio(
@@ -272,12 +326,18 @@ def death_log_ratio(
         tree.is_leaf(tree.left[node]) and tree.is_leaf(tree.right[node])
     ):
         raise ValueError(f"node {node} is not prunable")
-    kernel = _kernel_log_ratio(
-        tree.n_leaves() - 1, len(tree.prunable_ids()), priors.p_birth, priors.p_death
+    return -_birth_log_ratio(
+        tree.n_leaves() - 1,
+        len(tree.prunable_ids()),
+        tree.depth(node),
+        left.n_leaf,
+        left.sum_r,
+        right.n_leaf,
+        right.sum_r,
+        left.sum_r + right.sum_r,
+        sigma2,
+        priors,
     )
-    prior = _birth_prior_log_ratio(tree.depth(node), priors.gamma, priors.beta)
-    gain = split_loglik_gain(left, right, sigma2, priors.sigma_mu2)
-    return -(kernel + prior + gain)
 
 
 def death_ratio(
@@ -304,6 +364,27 @@ def update_split_probs(counts_total, alpha: float, rng: np.random.Generator) -> 
     return rng.dirichlet(alpha / counts_total.size + counts_total)
 
 
+@functools.lru_cache(maxsize=16)
+def _alpha_grid(p: int, rho: float, a: float, b: float, grid_size: int):
+    """The griddy-Gibbs grid of ``sample_alpha`` and every log-weight term
+    that does not depend on s, as read-only arrays: (alpha grid, alpha/p - 1,
+    Beta plus symmetric-Dirichlet normaliser terms)."""
+    lam = np.arange(1, grid_size + 1, dtype=np.float64) / (grid_size + 1)
+    alpha_grid = rho * lam / (1.0 - lam)
+    s_coef = alpha_grid / p - 1.0
+    # Beta and symmetric-Dirichlet log densities, normalizing constants that
+    # are flat in lambda dropped
+    base = (
+        (a - 1.0) * np.log(lam)
+        + (b - 1.0) * np.log1p(-lam)
+        + gammaln(alpha_grid)
+        - p * gammaln(alpha_grid / p)
+    )
+    for arr in (alpha_grid, s_coef, base):
+        arr.flags.writeable = False
+    return alpha_grid, s_coef, base
+
+
 def sample_alpha(
     s,
     rng: np.random.Generator,
@@ -325,18 +406,11 @@ def sample_alpha(
     p = s.size
     if rho is None:
         rho = float(p)
-    lam = np.arange(1, grid_size + 1, dtype=np.float64) / (grid_size + 1)
-    alpha_grid = rho * lam / (1.0 - lam)
+    alpha_grid, s_coef, base = _alpha_grid(p, float(rho), float(a), float(b), int(grid_size))
     log_s_sum = float(np.sum(np.log(np.clip(s, 1e-300, None))))
-    # Beta and symmetric-Dirichlet log densities, normalizing constants that
-    # are flat in lambda dropped
-    logw = (
-        (a - 1.0) * np.log(lam)
-        + (b - 1.0) * np.log1p(-lam)
-        + gammaln(alpha_grid)
-        - p * gammaln(alpha_grid / p)
-        + (alpha_grid / p - 1.0) * log_s_sum
-    )
+    # the s term is added last, as in the one-expression sum over all terms,
+    # so the cached part rounds exactly as it did there
+    logw = base + s_coef * log_s_sum
     top = float(np.max(logw))
     if not np.isfinite(top):
         warnings.warn("all griddy-Gibbs weights underflowed; keeping current alpha")
@@ -376,6 +450,8 @@ class EnsembleSampler:
         self.rng = rng if rng is not None else np.random.default_rng(config.seed)
         self.X = np.ascontiguousarray(dataset.X, dtype=np.float64)
         self.n, self.p = self.X.shape
+        # column-major copy: a split gathers one feature over a node's rows
+        self.XT = np.ascontiguousarray(self.X.T)
         y = dataset.y
         ymin, ymax = float(np.min(y)), float(np.max(y))
         self.y_center = 0.5 * (ymin + ymax)
@@ -389,7 +465,13 @@ class EnsembleSampler:
         self.lam = calibrate_lambda(self.ysc, config.nu, config.q)
         self.sigma2 = max(float(np.var(self.ysc, ddof=1)) if self.n > 1 else 1.0, 1e-10)
 
+        self.priors = TreePriors(
+            self.sigma_mu2, config.gamma, config.beta, config.p_birth, config.p_death
+        )
+
         self.trees = [DecisionTree.stump(0.0) for _ in range(T)]
+        # per tree: ascending row indices of every live node (see module doc)
+        self.node_rows = [{tree.root: np.arange(self.n)} for tree in self.trees]
         self.assign = np.zeros((T, self.n), dtype=np.int64)
         self.tree_pred = np.zeros((T, self.n), dtype=np.float64)
         self.resid = self.ysc.copy()
@@ -399,12 +481,12 @@ class EnsembleSampler:
         self.rho = float(config.dart_rho) if config.dart_rho is not None else float(self.p)
         self.alpha = float(self.p)
         self.s = np.full(self.p, 1.0 / self.p)
-        self._s_cdf = np.cumsum(self.s)
+        self._s_cdf = np.cumsum(self.s).tolist()
 
     # -- proposals -------------------------------------------------------
 
     def _draw_feature(self) -> int:
-        j = int(np.searchsorted(self._s_cdf, self.rng.random(), side="right"))
+        j = bisect.bisect_right(self._s_cdf, self.rng.random())
         return min(j, self.p - 1)
 
     def _draw_rule(self) -> tuple[int, float]:
@@ -413,41 +495,48 @@ class EnsembleSampler:
         c = float(grid[int(self.rng.integers(grid.size))])
         return j, c
 
+    @staticmethod
+    def _split_rows(node_rows, assign_t, rows, go_left, left_id: int, right_id: int) -> None:
+        """Route a node's rows to its children under an accepted rule."""
+        node_rows[left_id] = rows_left = rows[go_left]
+        node_rows[right_id] = rows_right = rows[~go_left]
+        assign_t[rows_left] = left_id
+        assign_t[rows_right] = right_id
+
     def _propose_birth(self, t: int, tree: DecisionTree, assign_t, r_t) -> None:
         rng = self.rng
         leaves = tree.leaf_ids()
         node = leaves[int(rng.integers(len(leaves)))]
-        rows = np.flatnonzero(assign_t == node)
+        node_rows = self.node_rows[t]
+        rows = node_rows[node]
         if rows.size <= 1:
             return  # exhausted: every rule would leave a child empty
         j, c = self._draw_rule()
-        go_left = self.X[rows, j] <= c
+        go_left = self.XT[j][rows] <= c
         n_left = int(np.count_nonzero(go_left))
         n_right = rows.size - n_left
         if n_left == 0 or n_right == 0:
             return  # empty-cell proposal rejected outright
         r_rows = r_t[rows]
-        s_parent = float(r_rows.sum())
-        s_left = float(r_rows[go_left].sum())
-        s_right = s_parent - s_left
-        cfg = self.config
-        log_r = (
-            _kernel_log_ratio(
-                len(leaves), _prunable_after_birth(tree, node), cfg.p_birth, cfg.p_death
-            )
-            + _birth_prior_log_ratio(tree.depth(node), cfg.gamma, cfg.beta)
-            + float(
-                _node_gain(n_left, s_left, self.sigma2, self.sigma_mu2)
-                + _node_gain(n_right, s_right, self.sigma2, self.sigma_mu2)
-                - _node_gain(rows.size, s_parent, self.sigma2, self.sigma_mu2)
-            )
+        s_parent = float(np.add.reduce(r_rows))
+        s_left = float(np.add.reduce(r_rows[go_left]))
+        log_r = _birth_log_ratio(
+            len(leaves),
+            _prunable_after_birth(tree, node),
+            tree.depth(node),
+            n_left,
+            s_left,
+            n_right,
+            s_parent - s_left,
+            s_parent,
+            self.sigma2,
+            self.priors,
         )
         prob = _accept_prob(log_r, "BIRTH")
         if rng.random() < prob:
             left_id, right_id = tree.split_leaf(node, j, c)
             tree.accept_prob[node] = prob
-            assign_t[rows[go_left]] = left_id
-            assign_t[rows[~go_left]] = right_id
+            self._split_rows(node_rows, assign_t, rows, go_left, left_id, right_id)
             self.counts[t, j] += 1
 
     def _propose_death(self, t: int, tree: DecisionTree, assign_t, r_t) -> None:
@@ -456,28 +545,30 @@ class EnsembleSampler:
         if not prunables:
             return  # single-leaf tree: DEATH disallowed, sweep continues
         node = prunables[int(rng.integers(len(prunables)))]
-        mask_left = assign_t == tree.left[node]
-        mask_right = assign_t == tree.right[node]
-        n_left = int(np.count_nonzero(mask_left))
-        n_right = int(np.count_nonzero(mask_right))
-        s_left = float(r_t[mask_left].sum())
-        s_right = float(r_t[mask_right].sum())
-        cfg = self.config
+        node_rows = self.node_rows[t]
+        left_id, right_id = tree.left[node], tree.right[node]
+        rows_left, rows_right = node_rows[left_id], node_rows[right_id]
+        s_left = float(np.add.reduce(r_t[rows_left]))
+        s_right = float(np.add.reduce(r_t[rows_right]))
         # exact negation of the BIRTH that would re-create this split
-        log_birth = (
-            _kernel_log_ratio(tree.n_leaves() - 1, len(prunables), cfg.p_birth, cfg.p_death)
-            + _birth_prior_log_ratio(tree.depth(node), cfg.gamma, cfg.beta)
-            + float(
-                _node_gain(n_left, s_left, self.sigma2, self.sigma_mu2)
-                + _node_gain(n_right, s_right, self.sigma2, self.sigma_mu2)
-                - _node_gain(n_left + n_right, s_left + s_right, self.sigma2, self.sigma_mu2)
-            )
+        log_birth = _birth_log_ratio(
+            tree.n_leaves() - 1,
+            len(prunables),
+            tree.depth(node),
+            rows_left.size,
+            s_left,
+            rows_right.size,
+            s_right,
+            s_left + s_right,
+            self.sigma2,
+            self.priors,
         )
         prob = _accept_prob(-log_birth, "DEATH")
         if rng.random() < prob:
             j_old = tree.feature[node]
             tree.prune(node)
-            assign_t[mask_left | mask_right] = node
+            del node_rows[left_id], node_rows[right_id]
+            assign_t[node_rows[node]] = node
             self.counts[t, j_old] -= 1
 
     def _propose_change(self, t: int, tree: DecisionTree, assign_t, r_t) -> None:
@@ -486,49 +577,51 @@ class EnsembleSampler:
         if not prunables:
             return
         node = prunables[int(rng.integers(len(prunables)))]
+        node_rows = self.node_rows[t]
         left_id, right_id = tree.left[node], tree.right[node]
-        rows = np.flatnonzero((assign_t == left_id) | (assign_t == right_id))
+        rows = node_rows[node]
         j_new, c_new = self._draw_rule()
-        go_left = self.X[rows, j_new] <= c_new
+        go_left = self.XT[j_new][rows] <= c_new
         n_left_new = int(np.count_nonzero(go_left))
         n_right_new = rows.size - n_left_new
         if n_left_new == 0 or n_right_new == 0:
             return
         r_rows = r_t[rows]
-        s_total = float(r_rows.sum())
-        s_left_new = float(r_rows[go_left].sum())
-        was_left = assign_t[rows] == left_id
-        n_left_old = int(np.count_nonzero(was_left))
-        s_left_old = float(r_rows[was_left].sum())
+        s_total = float(np.add.reduce(r_rows))
+        s_left_new = float(np.add.reduce(r_rows[go_left]))
+        rows_left_old = node_rows[left_id]
+        n_left_old = rows_left_old.size
+        s_left_old = float(np.add.reduce(r_t[rows_left_old]))
         # kernel and prior ratios are 1 for a rule swap; parent terms cancel
-        log_r = float(
-            _node_gain(n_left_new, s_left_new, self.sigma2, self.sigma_mu2)
-            + _node_gain(n_right_new, s_total - s_left_new, self.sigma2, self.sigma_mu2)
-            - _node_gain(n_left_old, s_left_old, self.sigma2, self.sigma_mu2)
-            - _node_gain(rows.size - n_left_old, s_total - s_left_old, self.sigma2, self.sigma_mu2)
+        g_left_new, g_right_new, g_left_old, g_right_old = _node_gains(
+            (n_left_new, n_right_new, n_left_old, rows.size - n_left_old),
+            (s_left_new, s_total - s_left_new, s_left_old, s_total - s_left_old),
+            self.sigma2,
+            self.sigma_mu2,
         )
-        prob = _accept_prob(log_r, "CHANGE")
+        prob = _accept_prob(g_left_new + g_right_new - g_left_old - g_right_old, "CHANGE")
         if rng.random() < prob:
             j_old = tree.feature[node]
             tree.set_rule(node, j_new, c_new)
             tree.accept_prob[node] = prob
             self.counts[t, j_old] -= 1
             self.counts[t, j_new] += 1
-            assign_t[rows[go_left]] = left_id
-            assign_t[rows[~go_left]] = right_id
+            self._split_rows(node_rows, assign_t, rows, go_left, left_id, right_id)
 
     def _redraw_leaves(self, t: int, tree: DecisionTree, assign_t, r_t) -> None:
-        ids = np.asarray(tree.leaf_ids(), dtype=np.int64)
-        arena = tree.arena_size
-        n_by_node = np.bincount(assign_t, minlength=arena)
-        s_by_node = np.bincount(assign_t, weights=r_t, minlength=arena)
-        m, v = leaf_posterior(n_by_node[ids], s_by_node[ids], self.sigma2, self.sigma_mu2)
-        draws = m + np.sqrt(v) * self.rng.standard_normal(ids.size)
-        for i, val in zip(ids.tolist(), draws.tolist()):
-            tree.value[i] = val
-        by_node = np.zeros(arena)
-        by_node[ids] = draws
-        new_pred = by_node[assign_t]
+        ids = tree.leaf_ids()
+        node_rows = self.node_rows[t]
+        # bincount adds each leaf's residuals one by one in row order; a
+        # pairwise np.add.reduce over the leaf's rows would round differently
+        sums = np.bincount(assign_t, weights=r_t, minlength=tree.arena_size)[ids].tolist()
+        z = self.rng.standard_normal(len(ids)).tolist()
+        value = tree.value
+        for i, s_i, z_i in zip(ids, sums, z):
+            m, v = leaf_posterior(node_rows[i].size, s_i, self.sigma2, self.sigma_mu2)
+            # math.sqrt is correctly rounded, so it matches np.sqrt bit for bit
+            value[i] = m + math.sqrt(v) * z_i
+        # assign_t holds leaf ids only, so the other slots' values are never read
+        new_pred = np.array(value)[assign_t]
         self.resid += self.tree_pred[t] - new_pred
         self.tree_pred[t] = new_pred
 
@@ -557,7 +650,7 @@ class EnsembleSampler:
         if self.is_dart and update_sparsity:
             total = self.counts.sum(axis=0)
             self.s = update_split_probs(total, self.alpha, self.rng)
-            self._s_cdf = np.cumsum(self.s)
+            self._s_cdf = np.cumsum(self.s).tolist()
             self.alpha = sample_alpha(
                 self.s,
                 self.rng,
@@ -574,24 +667,7 @@ class EnsembleSampler:
         if s.shape != (self.p,) or abs(float(s.sum()) - 1.0) > 1e-9 or np.any(s < 0):
             raise ValueError("s must be a length-p simplex vector")
         self.s = s
-        self._s_cdf = np.cumsum(s)
-
-    def snapshot(self) -> EnsembleState:
-        """Current ensemble with leaf values mapped back to response units."""
-        trees = []
-        offset = self.y_center / self.config.n_trees
-        for tree in self.trees:
-            c = tree.copy()
-            for i in c.node_ids():
-                if c.is_leaf(i):
-                    c.value[i] = c.value[i] * self.y_range + offset
-            trees.append(c)
-        return EnsembleState(
-            trees=trees,
-            sigma2=self.sigma2 * self.y_range**2,
-            split_probs=self.s.copy() if self.is_dart else None,
-            alpha=self.alpha if self.is_dart else None,
-        )
+        self._s_cdf = np.cumsum(s).tolist()
 
     def run(self) -> PosteriorTrace:
         cfg = self.config

@@ -1,13 +1,19 @@
 """Independent reference implementations used by the unit and gate tests.
 
 These deliberately recompute results by brute force (naive O(m^3)
-clustering, exhaustive threshold scans, bisection) so they share no code
-path with the package internals they verify.
+clustering, exhaustive threshold scans, bisection, tree queries by descent
+from the root, node rows by O(n) mask scans) so they share no code path with
+the package internals they verify.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from scipy.special import gammaln
+
+from bartsel import EnsembleSampler
 
 
 def naive_upgma(points: np.ndarray) -> np.ndarray:
@@ -160,3 +166,227 @@ def gse_cstar_bisection(null: np.ndarray, alpha: float, iters: int = 200) -> flo
         else:
             lo = mid
     return hi
+
+
+# -- trees and the sampler's transition kernel ----------------------------------
+
+
+def tree_live(tree) -> list[int]:
+    """Ids of the nodes reachable from the root, ascending."""
+    out, stack = [], [tree.root]
+    while stack:
+        i = stack.pop()
+        out.append(i)
+        if tree.feature[i] >= 0:
+            stack.extend((tree.left[i], tree.right[i]))
+    return sorted(out)
+
+
+def tree_leaves(tree) -> list[int]:
+    return [i for i in tree_live(tree) if tree.feature[i] < 0]
+
+
+def tree_internals(tree) -> list[int]:
+    return [i for i in tree_live(tree) if tree.feature[i] >= 0]
+
+
+def tree_prunables(tree) -> list[int]:
+    return [
+        i
+        for i in tree_internals(tree)
+        if tree.feature[tree.left[i]] < 0 and tree.feature[tree.right[i]] < 0
+    ]
+
+
+def tree_depth(tree, i: int) -> int:
+    d = 0
+    while i != tree.root:
+        i = tree.parent[i]
+        d += 1
+    return d
+
+
+def routed_rows(tree, X: np.ndarray) -> dict[int, np.ndarray]:
+    """For every live node, the ascending rows whose root-to-leaf descent
+    passes through it."""
+    through: dict[int, list[int]] = {i: [] for i in tree_live(tree)}
+    for r, x in enumerate(X):
+        i = tree.root
+        through[i].append(r)
+        while tree.feature[i] >= 0:
+            i = tree.left[i] if x[tree.feature[i]] <= tree.cutpoint[i] else tree.right[i]
+            through[i].append(r)
+    return {i: np.asarray(rows, dtype=np.int64) for i, rows in through.items()}
+
+
+def _ref_log(x: float) -> float:
+    return math.log(x) if x > 0.0 else -math.inf
+
+
+def _ref_node_gain(n, s, sigma2: float, sigma_mu2: float):
+    """One leaf's log marginal-likelihood gain as 0-d numpy arithmetic."""
+    n = np.asarray(n, dtype=np.float64)
+    s = np.asarray(s, dtype=np.float64)
+    return -0.5 * np.log1p(n * sigma_mu2 / sigma2) + sigma_mu2 * s * s / (
+        2.0 * sigma2 * (sigma2 + n * sigma_mu2)
+    )
+
+
+def _ref_birth_kernel_and_prior(tree, node: int, n_leaves: int, n_prunable_after: int, cfg) -> float:
+    depth = tree_depth(tree, node)
+    ps_d = cfg.gamma / (1.0 + depth) ** cfg.beta
+    ps_d1 = cfg.gamma / (1.0 + (depth + 1)) ** cfg.beta
+    kernel = (
+        _ref_log(cfg.p_death) - _ref_log(cfg.p_birth)
+        + _ref_log(float(n_leaves)) - _ref_log(float(n_prunable_after))
+    )
+    prior = _ref_log(ps_d) + 2.0 * _ref_log(1.0 - ps_d1) - _ref_log(1.0 - ps_d)
+    return kernel + prior
+
+
+def _ref_accept_prob(log_r: float) -> float:
+    if math.isnan(log_r):
+        raise AssertionError("non-finite MH log-ratio")
+    return 1.0 if log_r >= 0.0 else math.exp(log_r)
+
+
+class MaskScanSampler(EnsembleSampler):
+    """The sampler with a reference transition kernel: each node's rows found
+    by an O(n) scan of ``assign_t``, one 0-d numpy call per node gain, leaf
+    statistics from two bincounts and tree queries by descent. It draws from
+    the rng in the same order as :class:`EnsembleSampler`, whose traces must
+    equal its traces bit for bit."""
+
+    def _draw_feature(self) -> int:
+        j = int(np.searchsorted(np.cumsum(self.s), self.rng.random(), side="right"))
+        return min(j, self.p - 1)
+
+    def _propose_birth(self, t, tree, assign_t, r_t) -> None:
+        rng = self.rng
+        leaves = tree_leaves(tree)
+        node = leaves[int(rng.integers(len(leaves)))]
+        rows = np.flatnonzero(assign_t == node)
+        if rows.size <= 1:
+            return
+        j, c = self._draw_rule()
+        go_left = self.X[rows, j] <= c
+        n_left = int(np.count_nonzero(go_left))
+        n_right = rows.size - n_left
+        if n_left == 0 or n_right == 0:
+            return
+        r_rows = r_t[rows]
+        s_parent = float(r_rows.sum())
+        s_left = float(r_rows[go_left].sum())
+        s_right = s_parent - s_left
+        grown = tree.copy()
+        grown.split_leaf(node, j, c)
+        log_r = _ref_birth_kernel_and_prior(
+            tree, node, len(leaves), len(tree_prunables(grown)), self.config
+        ) + float(
+            _ref_node_gain(n_left, s_left, self.sigma2, self.sigma_mu2)
+            + _ref_node_gain(n_right, s_right, self.sigma2, self.sigma_mu2)
+            - _ref_node_gain(rows.size, s_parent, self.sigma2, self.sigma_mu2)
+        )
+        prob = _ref_accept_prob(log_r)
+        if rng.random() < prob:
+            left_id, right_id = tree.split_leaf(node, j, c)
+            tree.accept_prob[node] = prob
+            assign_t[rows[go_left]] = left_id
+            assign_t[rows[~go_left]] = right_id
+            self.counts[t, j] += 1
+
+    def _propose_death(self, t, tree, assign_t, r_t) -> None:
+        rng = self.rng
+        prunables = tree_prunables(tree)
+        if not prunables:
+            return
+        node = prunables[int(rng.integers(len(prunables)))]
+        mask_left = assign_t == tree.left[node]
+        mask_right = assign_t == tree.right[node]
+        n_left = int(np.count_nonzero(mask_left))
+        n_right = int(np.count_nonzero(mask_right))
+        s_left = float(r_t[mask_left].sum())
+        s_right = float(r_t[mask_right].sum())
+        log_birth = _ref_birth_kernel_and_prior(
+            tree, node, len(tree_leaves(tree)) - 1, len(prunables), self.config
+        ) + float(
+            _ref_node_gain(n_left, s_left, self.sigma2, self.sigma_mu2)
+            + _ref_node_gain(n_right, s_right, self.sigma2, self.sigma_mu2)
+            - _ref_node_gain(n_left + n_right, s_left + s_right, self.sigma2, self.sigma_mu2)
+        )
+        prob = _ref_accept_prob(-log_birth)
+        if rng.random() < prob:
+            j_old = tree.feature[node]
+            tree.prune(node)
+            assign_t[mask_left | mask_right] = node
+            self.counts[t, j_old] -= 1
+
+    def _propose_change(self, t, tree, assign_t, r_t) -> None:
+        rng = self.rng
+        prunables = tree_prunables(tree)
+        if not prunables:
+            return
+        node = prunables[int(rng.integers(len(prunables)))]
+        left_id, right_id = tree.left[node], tree.right[node]
+        rows = np.flatnonzero((assign_t == left_id) | (assign_t == right_id))
+        j_new, c_new = self._draw_rule()
+        go_left = self.X[rows, j_new] <= c_new
+        n_left_new = int(np.count_nonzero(go_left))
+        n_right_new = rows.size - n_left_new
+        if n_left_new == 0 or n_right_new == 0:
+            return
+        r_rows = r_t[rows]
+        s_total = float(r_rows.sum())
+        s_left_new = float(r_rows[go_left].sum())
+        was_left = assign_t[rows] == left_id
+        n_left_old = int(np.count_nonzero(was_left))
+        s_left_old = float(r_rows[was_left].sum())
+        log_r = float(
+            _ref_node_gain(n_left_new, s_left_new, self.sigma2, self.sigma_mu2)
+            + _ref_node_gain(n_right_new, s_total - s_left_new, self.sigma2, self.sigma_mu2)
+            - _ref_node_gain(n_left_old, s_left_old, self.sigma2, self.sigma_mu2)
+            - _ref_node_gain(rows.size - n_left_old, s_total - s_left_old, self.sigma2, self.sigma_mu2)
+        )
+        prob = _ref_accept_prob(log_r)
+        if rng.random() < prob:
+            j_old = tree.feature[node]
+            tree.set_rule(node, j_new, c_new)
+            tree.accept_prob[node] = prob
+            self.counts[t, j_old] -= 1
+            self.counts[t, j_new] += 1
+            assign_t[rows[go_left]] = left_id
+            assign_t[rows[~go_left]] = right_id
+
+    def _redraw_leaves(self, t, tree, assign_t, r_t) -> None:
+        ids = np.asarray(tree_leaves(tree), dtype=np.int64)
+        arena = len(tree.feature)
+        n_by_node = np.bincount(assign_t, minlength=arena)
+        s_by_node = np.bincount(assign_t, weights=r_t, minlength=arena)
+        n_leaf = n_by_node[ids].astype(np.float64)
+        v = 1.0 / (n_leaf / self.sigma2 + 1.0 / self.sigma_mu2)
+        m = v * s_by_node[ids] / self.sigma2
+        draws = m + np.sqrt(v) * self.rng.standard_normal(ids.size)
+        for i, val in zip(ids.tolist(), draws.tolist()):
+            tree.value[i] = val
+        by_node = np.zeros(arena)
+        by_node[ids] = draws
+        new_pred = by_node[assign_t]
+        self.resid += self.tree_pred[t] - new_pred
+        self.tree_pred[t] = new_pred
+
+
+def alpha_log_weights(s: np.ndarray, a: float, b: float, rho: float, grid_size: int):
+    """(alpha grid, griddy-Gibbs log weights) of ``sample_alpha`` as one
+    elementwise expression over the grid."""
+    p = s.size
+    lam = np.arange(1, grid_size + 1, dtype=np.float64) / (grid_size + 1)
+    alpha_grid = rho * lam / (1.0 - lam)
+    log_s_sum = float(np.sum(np.log(np.clip(s, 1e-300, None))))
+    logw = (
+        (a - 1.0) * np.log(lam)
+        + (b - 1.0) * np.log1p(-lam)
+        + gammaln(alpha_grid)
+        - p * gammaln(alpha_grid / p)
+        + (alpha_grid / p - 1.0) * log_s_sum
+    )
+    return alpha_grid, logw

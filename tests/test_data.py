@@ -15,6 +15,7 @@ from bartsel import (
     predict_tree,
     validate_dataset,
 )
+from oracles import tree_internals, tree_leaves, tree_live, tree_prunables
 
 
 def predict_by_descent(tree: DecisionTree, x: np.ndarray) -> float:
@@ -204,6 +205,44 @@ class TestTreeArena:
         tree.prune(tree.root)
         tree.split_leaf(tree.root, 0, 1.0)
         assert tree.arena_size == size_before
+
+    def test_queries_match_brute_force_under_grow_and_prune(self):
+        rng = np.random.default_rng(13)
+        reused = 0
+        for _ in range(30):
+            tree = DecisionTree.stump(0.0)
+            allocated = 1
+            for _ in range(40):
+                prunable = tree_prunables(tree)
+                if prunable and rng.random() < 0.45:
+                    tree.prune(prunable[int(rng.integers(len(prunable)))])
+                else:
+                    leaves = tree_leaves(tree)
+                    node = leaves[int(rng.integers(len(leaves)))]
+                    tree.split_leaf(node, int(rng.integers(3)), float(rng.normal()))
+                    allocated += 2
+                for t in (tree, tree.copy()):
+                    t.validate()
+                    assert t.node_ids() == tree_live(tree)
+                    assert t.leaf_ids() == tree_leaves(tree)
+                    assert t.internal_ids() == tree_internals(tree)
+                    assert t.prunable_ids() == tree_prunables(tree)
+                    assert t.n_leaves() == len(tree_leaves(tree))
+            reused += allocated - tree.arena_size
+            # a copy is independent of the tree it came from
+            dup = tree.copy()
+            dup.split_leaf(dup.leaf_ids()[0], 0, 0.0)
+            assert tree.node_ids() == tree_live(tree) and tree.n_leaves() + 1 == dup.n_leaves()
+        assert reused > 0  # freed slots were handed out again
+
+    def test_validate_catches_a_free_list_out_of_step(self):
+        tree = DecisionTree.stump(0.0)
+        tree.split_leaf(tree.root, 0, 0.0)
+        tree.prune(tree.root)
+        tree.validate()
+        tree._free.pop()
+        with pytest.raises(AssertionError, match="free"):
+            tree.validate()
 
     def test_split_counts_by_feature(self):
         tree = DecisionTree.stump(0.0)

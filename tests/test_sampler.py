@@ -37,7 +37,8 @@ from bartsel import (
     validate_dataset,
     vip,
 )
-from bartsel.sampler import FitError, birth_log_ratio, death_log_ratio
+from bartsel.sampler import FitError, _alpha_grid, birth_log_ratio, death_log_ratio
+from oracles import MaskScanSampler, alpha_log_weights, routed_rows
 
 
 class TestPSplit:
@@ -430,6 +431,26 @@ class TestSampleAlpha:
         assert out == 3.25
         assert any("underflow" in str(w.message) for w in caught)
 
+    def test_cached_grid_keeps_the_one_expression_bits(self):
+        # the s-free terms are cached per (p, rho, a, b, grid_size); adding the
+        # s term last must give the weights of the single elementwise sum
+        rng = np.random.default_rng(18)
+        p = 306
+        for k in range(200):
+            s = rng.dirichlet(np.full(p, float(rng.choice([0.05, 1.0, 20.0]))))
+            a, b = float(rng.choice([0.5, 1.0, 2.0])), float(rng.choice([1.0, 3.0]))
+            rho = float(rng.choice([p, 10.0]))
+            alpha_grid, want = alpha_log_weights(s, a, b, rho, 1000)
+            grid, s_coef, base = _alpha_grid(p, rho, a, b, 1000)
+            log_s_sum = float(np.sum(np.log(np.clip(s, 1e-300, None))))
+            assert np.array_equal(base + s_coef * log_s_sum, want)
+            w = np.exp(want - np.max(want))
+            cdf = np.cumsum(w)
+            u = np.random.default_rng(k).random()
+            idx = min(int(np.searchsorted(cdf, u * cdf[-1], side="right")), 999)
+            got = sample_alpha(s, np.random.default_rng(k), a=a, b=b, rho=rho)
+            assert got == float(alpha_grid[idx]) and grid is _alpha_grid(p, rho, a, b, 1000)[0]
+
     def test_underflow_without_fallback_raises(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -477,8 +498,43 @@ class TestSamplerSweeps:
             tree.validate()
             # counts row stays consistent with the tree it describes
             assert np.array_equal(sampler.counts[t], tree.split_counts(sampler.p))
+            # every live node keeps exactly the rows routed through it
+            want = routed_rows(tree, ds.X)
+            got = sampler.node_rows[t]
+            assert sorted(got) == sorted(want)
+            for i, rows in want.items():
+                assert np.array_equal(got[i], rows), f"rows of node {i}"
+                if tree.is_leaf(i):
+                    assert np.all(assign_t[rows] == i)
             sampler._redraw_leaves(t, tree, assign_t, r_t)
         assert all(v > 0 for v in checked.values())
+
+    @pytest.mark.parametrize("case", ["bart", "dart-mi-s-path", "n2-p1", "constant-column", "heavy-ties"])
+    def test_kernel_is_bit_exact_against_mask_scan_reference(self, case):
+        rng = np.random.default_rng(32)
+        cfg = FitConfig(n_trees=5, burn_in=60, n_draws=60, seed=10, track_mi=True)
+        if case == "bart":
+            ds = make_regression(n=80, p=4, seed=33)
+        elif case == "dart-mi-s-path":
+            ds = make_regression(n=80, p=6, seed=34)
+            cfg = FitConfig(n_trees=5, burn_in=60, n_draws=60, seed=11, prior_kind="dart",
+                            track_mi=True, track_s_path=True)
+        elif case == "n2-p1":
+            ds = validate_dataset([0.3, 1.7], [[0.0], [1.0]])
+        elif case == "constant-column":
+            X = rng.uniform(size=(50, 3))
+            X[:, 1] = 4.0
+            ds = validate_dataset(2.0 * X[:, 0] + rng.normal(0.0, 0.2, 50), X)
+            cfg = FitConfig(n_trees=5, burn_in=60, n_draws=60, seed=12, prior_kind="dart")
+        else:
+            X = rng.integers(0, 3, size=(60, 3)).astype(float)
+            ds = validate_dataset(X[:, 0] + rng.normal(0.0, 0.3, 60), X)
+        ours, ref = EnsembleSampler(ds, cfg), MaskScanSampler(ds, cfg)
+        trace = ours.run()
+        assert trace == ref.run()
+        assert np.array_equal(ours.resid, ref.resid)
+        assert [t.value for t in ours.trees] == [t.value for t in ref.trees]
+        assert trace.counts.sum() > 0  # the chain did split
 
     def test_counts_match_internal_nodes_every_draw(self):
         ds = make_regression(seed=22)
