@@ -19,19 +19,12 @@ import ast
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from time import perf_counter
 from typing import Any, Callable, Mapping
 
 import numpy as np
 
 from .data import Dataset, FitConfig, validate_dataset
-from .methods import (
-    METHOD_SPECS,
-    resolve_l_rep,
-    fit_replicates,
-    select_with_method,
-)
-from .selection import permutation_null
+from .methods import METHOD_SPECS, RunConfig, run_method
 
 __all__ = [
     "BenchmarkError",
@@ -338,83 +331,38 @@ class GridRowResult:
     error: str | None = None
 
 
-def _ensure_traces(cache: dict, key, dataset, fit_cfg, method_seed: int, l_rep: int, jobs: int):
-    """Grow the cached replicate-trace list for ``key`` to l_rep fits.
-
-    Fit i is always seeded method_seed + i, so a prefix of a longer run is
-    identical to an independent shorter run (the L_rep sensitivity protocol).
-    """
-    traces = cache.setdefault(key, [])
-    if len(traces) < l_rep:
-        traces.extend(
-            fit_replicates(dataset, fit_cfg, method_seed, l_rep, jobs=jobs, start=len(traces))
-        )
-    return traces[:l_rep]
-
-
-def _ensure_null(cache: dict, key, dataset, kind, fit_cfg, method_seed: int, l_perm: int, jobs: int):
-    rows = cache.setdefault(key, [])
-    if len(rows) < l_perm:
-        grown = permutation_null(dataset, kind, l_perm, fit_cfg, method_seed, jobs=jobs)
-        # rows ell are independently seeded, so recomputing a prefix is exact;
-        # keep the longest version
-        cache[key] = [grown[i] for i in range(l_perm)]
-        rows = cache[key]
-    return np.stack(rows[:l_perm])
-
-
 def _run_point(
-    index: int,
-    pt: GridPoint,
-    equations: Mapping[str, Any],
-    dataset_cache: dict,
-    trace_cache: dict,
-    null_cache: dict,
-    jobs: int,
+    index: int, pt: GridPoint, equations: Mapping[str, Any], dataset_cache: dict, jobs: int
 ) -> GridRowResult:
     if pt.method not in METHOD_SPECS:
         raise BenchmarkError(f"unknown method {pt.method!r}")
     if pt.equation not in equations:
         raise BenchmarkError(f"unknown equation {pt.equation!r}")
-    mspec = METHOD_SPECS[pt.method]
     eq = _coerce_equation(pt.equation, equations[pt.equation])
     data_seed = pt.seed + REPLICATE_SEED_STRIDE * pt.replicate
-    method_seed = data_seed + 1
     dkey = (pt.equation, pt.n, pt.snr, pt.s_copies, data_seed)
     if dkey not in dataset_cache:
-        dataset_cache[dkey] = generate_dataset_with_info(eq, pt.n, pt.snr, pt.s_copies, data_seed)
-    dataset, info = dataset_cache[dkey]
-
-    base_fit = pt.fit_config()
-    fit_cfg = replace(base_fit, prior_kind=mspec.prior_kind, track_mi=mspec.track_mi)
-    l_rep = resolve_l_rep(pt.method, pt.l_rep)
-    fit_sig = (pt.fit_overrides, mspec.prior_kind, mspec.track_mi)
-
-    t0 = perf_counter()
-    traces = _ensure_traces(
-        trace_cache, (dkey, fit_sig, method_seed), dataset, fit_cfg, method_seed, l_rep, jobs
+        dataset, info = generate_dataset_with_info(eq, pt.n, pt.snr, pt.s_copies, data_seed)
+        dataset_cache[dkey] = (dataset, info, {})
+    dataset, info, fit_cache = dataset_cache[dkey]
+    config = RunConfig(
+        method=pt.method,
+        fit=pt.fit_config(),
+        l_rep=pt.l_rep,
+        l_perm=pt.l_perm,
+        alpha=pt.alpha,
+        seed=data_seed + 1,
+        jobs=jobs,
     )
-    null = None
-    if mspec.needs_null:
-        null = _ensure_null(
-            null_cache,
-            (dkey, fit_sig, mspec.perm_kind, method_seed),
-            dataset,
-            mspec.perm_kind,
-            fit_cfg,
-            method_seed,
-            pt.l_perm,
-            jobs,
-        )
-    selection, _ = select_with_method(pt.method, traces, null, pt.alpha)
-    runtime = perf_counter() - t0
-    metrics = compute_metrics(selection.selected, dataset.truth, dataset.p, runtime_s=runtime)
+    result = run_method(dataset, config, cache=fit_cache)
+    selected = result.selection.selected
+    metrics = compute_metrics(selected, dataset.truth, dataset.p, runtime_s=result.runtime_s)
     return GridRowResult(
         index=index,
         point=pt,
         p=dataset.p,
         data_seed=data_seed,
-        selected=tuple(sorted(selection.selected)),
+        selected=tuple(sorted(selected)),
         metrics=metrics,
         var_f=info["var_f"],
         noise_var=info["noise_var"],
@@ -430,9 +378,10 @@ def run_grid(
 ) -> list[GridRowResult]:
     """Run every grid point, isolating per-point failures as error rows.
 
-    Replicate fits are cached across points so several L_rep values (or
-    several methods sharing a prior) on the same generated dataset reuse
-    fits; seeding guarantees the reuse is exact. Points for which ``skip``
+    Each generated dataset keeps one ``run_method`` cache, so points on it
+    reuse replicate fits and permutation-null rows across L_rep and L_perm
+    values and across methods sharing a fit configuration, and grow them by
+    the missing rows only; seeding makes the reuse exact. Points for which ``skip``
     returns True are omitted from the output (resume support); ``progress``
     observes each computed row. Rows return in grid order.
     """
@@ -442,14 +391,12 @@ def run_grid(
     if equations:
         eqs.update(equations)
     dataset_cache: dict = {}
-    trace_cache: dict = {}
-    null_cache: dict = {}
     out: list[GridRowResult] = []
     for index, pt in enumerate(points):
         if skip is not None and skip(index, pt):
             continue
         try:
-            row = _run_point(index, pt, eqs, dataset_cache, trace_cache, null_cache, jobs)
+            row = _run_point(index, pt, eqs, dataset_cache, jobs)
         except Exception as exc:  # noqa: BLE001 - isolation contract
             row = GridRowResult(index=index, point=pt, error=f"{type(exc).__name__}: {exc}")
         if progress is not None:

@@ -56,6 +56,14 @@ def _jobs_value(jobs: int | None) -> int:
         return 1
 
 
+_jobs_option = click.option(
+    "--jobs",
+    type=click.IntRange(min=1),
+    default=None,
+    help="Parallel fit processes [BARTSEL_JOBS or 1].",
+)
+
+
 def _runtime_fail(exc: BaseException) -> None:
     click.echo(f"error: {exc}", err=True)
     sys.exit(1)
@@ -128,7 +136,7 @@ def cmd_fit(csv_path, response, trees, burnin, draws, prior, track_mi, seed, out
 @click.option("--lperm", type=int, default=50, show_default=True, help="Permutation fits.")
 @click.option("--alpha", type=float, default=0.05, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--jobs", type=int, default=None, help="Parallel fit processes [BARTSEL_JOBS or 1].")
+@_jobs_option
 @click.option(
     "--out",
     type=click.Path(file_okay=False, path_type=Path),
@@ -177,7 +185,7 @@ def cmd_select(
     required=True,
     help="Output directory for metrics.csv and aggregate.csv.",
 )
-@click.option("--jobs", type=int, default=None, help="Parallel fit processes [BARTSEL_JOBS or 1].")
+@_jobs_option
 @click.option("--resume", is_flag=True, help="Keep completed rows from an earlier metrics.csv.")
 def cmd_benchmark(grid_file, out, jobs, resume) -> None:
     """Run a benchmark grid and write per-row metrics plus aggregates."""

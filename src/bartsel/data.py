@@ -12,8 +12,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterator, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 

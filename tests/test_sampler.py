@@ -22,9 +22,7 @@ from bartsel import (
     LeafSufficientStats,
     RuleExhaustedError,
     TreePriors,
-    birth_ratio,
     calibrate_lambda,
-    death_ratio,
     fit,
     leaf_posterior,
     p_split,
@@ -265,14 +263,6 @@ class TestMHRatios:
             log_death = death_log_ratio(tree, node, left, right, sigma2, self.PRIORS)
             assert log_death == pytest.approx(-log_birth, abs=1e-12)
 
-    def test_birth_ratio_is_exp_of_log_ratio(self):
-        tree = DecisionTree.stump(0.0)
-        left = LeafSufficientStats(3, 1.0, 1.0)
-        right = LeafSufficientStats(2, -0.5, 0.5)
-        r = birth_ratio(tree, tree.root, (0, 0.5), (left, right), 1.0, self.PRIORS)
-        log_r = birth_log_ratio(tree, tree.root, left, right, 1.0, self.PRIORS)
-        assert r == pytest.approx(math.exp(log_r), rel=1e-12)
-
     def test_depth_zero_prior_factor(self):
         # split of the root: prior factor p_split(0) * (1-p_split(1))^2 / (1-p_split(0))
         tree = DecisionTree.stump(0.0)
@@ -289,11 +279,11 @@ class TestMHRatios:
     def test_empty_child_signals_exhausted(self):
         tree = DecisionTree.stump(0.0)
         with pytest.raises(RuleExhaustedError):
-            birth_ratio(
+            birth_log_ratio(
                 tree,
                 tree.root,
-                (0, 0.5),
-                (LeafSufficientStats(0, 0.0), LeafSufficientStats(3, 1.0, 1.0)),
+                LeafSufficientStats(0, 0.0),
+                LeafSufficientStats(3, 1.0, 1.0),
                 1.0,
                 self.PRIORS,
             )
@@ -311,9 +301,8 @@ class TestMHRatios:
         left = tree.left[tree.root]
         tree.split_leaf(left, 0, 0.0)
         with pytest.raises(ValueError, match="prunable"):
-            death_ratio(
-                tree, tree.root,
-                (LeafSufficientStats(1, 0.0), LeafSufficientStats(1, 0.0)),
+            death_log_ratio(
+                tree, tree.root, LeafSufficientStats(1, 0.0), LeafSufficientStats(1, 0.0),
                 1.0, self.PRIORS,
             )
 

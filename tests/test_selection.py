@@ -220,6 +220,15 @@ class TestPermutationNull:
             trace = fit(ds.with_response(y_star), cfg, rng=rng)
             np.testing.assert_array_equal(null[ell - 1], vip(trace).values)
 
+    def test_start_gives_the_same_rows_as_the_full_null(self):
+        ds = tiny_dataset(12)
+        full = permutation_null(ds, "vip", 5, FAST, seed=21)
+        tail = permutation_null(ds, "vip", 5, FAST, seed=21, start=2)
+        assert tail.shape == (3, ds.p)
+        np.testing.assert_array_equal(tail, full[2:])
+        with pytest.raises(ValueError, match="start"):
+            permutation_null(ds, "vip", 5, FAST, seed=21, start=5)
+
     def test_distinct_rows_across_permutations(self):
         ds = tiny_dataset(7)
         null = permutation_null(ds, "vip", 3, FAST, seed=1)

@@ -14,7 +14,7 @@ from bartsel import (
     vc,
     vip,
 )
-from bartsel.summaries import SOURCE_VC_MEASURE, SOURCE_VIP_MEASURE, SOURCE_VIP_RANK
+from bartsel.summaries import SOURCE_VC_MEASURE, SOURCE_VIP_MEASURE, SOURCE_VIP_RANK, importance
 
 from conftest import make_trace, random_trace
 
@@ -155,6 +155,13 @@ class TestMetropolisImportance:
             trace = random_trace(rng, k=int(rng.integers(1, 8)), p=p, with_mi=True)
             want = mi_by_hand(p, trace.mi_features, trace.mi_probs)
             np.testing.assert_allclose(metropolis_importance(trace).values, want, atol=1e-12)
+            # the by-kind lookup returns exactly what each summary returns
+            for kind, summary in (
+                ("vip", vip), ("vc", vc), ("mpvip", mpvip), ("mi", metropolis_importance)
+            ):
+                np.testing.assert_array_equal(importance(trace, kind), summary(trace).values)
+        with pytest.raises(ValueError, match="importance kind"):
+            importance(trace, "vip-rank")
 
 
 class TestRankDescending:
