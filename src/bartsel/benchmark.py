@@ -25,6 +25,7 @@ import numpy as np
 
 from .data import Dataset, FitConfig, validate_dataset
 from .methods import METHOD_SPECS, RunConfig, run_method
+from .sampler import Workers
 
 __all__ = [
     "BenchmarkError",
@@ -332,7 +333,11 @@ class GridRowResult:
 
 
 def _run_point(
-    index: int, pt: GridPoint, equations: Mapping[str, Any], dataset_cache: dict, jobs: int
+    index: int,
+    pt: GridPoint,
+    equations: Mapping[str, Any],
+    dataset_cache: dict,
+    workers: Workers,
 ) -> GridRowResult:
     if pt.method not in METHOD_SPECS:
         raise BenchmarkError(f"unknown method {pt.method!r}")
@@ -352,9 +357,9 @@ def _run_point(
         l_perm=pt.l_perm,
         alpha=pt.alpha,
         seed=data_seed + 1,
-        jobs=jobs,
+        jobs=workers.jobs,
     )
-    result = run_method(dataset, config, cache=fit_cache)
+    result = run_method(dataset, config, cache=fit_cache, workers=workers)
     selected = result.selection.selected
     metrics = compute_metrics(selected, dataset.truth, dataset.p, runtime_s=result.runtime_s)
     return GridRowResult(
@@ -384,6 +389,11 @@ def run_grid(
     the missing rows only; seeding makes the reuse exact. Points for which ``skip``
     returns True are omitted from the output (resume support); ``progress``
     observes each computed row. Rows return in grid order.
+
+    With jobs > 1 the whole grid shares one pool of ``jobs`` worker
+    processes, started by the first row that fans out and shut down before
+    this returns. A worker that dies fails only the row in progress (an
+    error row naming ``BrokenProcessPool``); the next row starts a new pool.
     """
     if not points:
         raise BenchmarkError("grid is empty")
@@ -392,14 +402,15 @@ def run_grid(
         eqs.update(equations)
     dataset_cache: dict = {}
     out: list[GridRowResult] = []
-    for index, pt in enumerate(points):
-        if skip is not None and skip(index, pt):
-            continue
-        try:
-            row = _run_point(index, pt, eqs, dataset_cache, jobs)
-        except Exception as exc:  # noqa: BLE001 - isolation contract
-            row = GridRowResult(index=index, point=pt, error=f"{type(exc).__name__}: {exc}")
-        if progress is not None:
-            progress(row)
-        out.append(row)
+    with Workers(jobs) as workers:
+        for index, pt in enumerate(points):
+            if skip is not None and skip(index, pt):
+                continue
+            try:
+                row = _run_point(index, pt, eqs, dataset_cache, workers)
+            except Exception as exc:  # noqa: BLE001 - isolation contract
+                row = GridRowResult(index=index, point=pt, error=f"{type(exc).__name__}: {exc}")
+            if progress is not None:
+                progress(row)
+            out.append(row)
     return out

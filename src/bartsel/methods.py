@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Dataset, FitConfig, PosteriorTrace
-from .sampler import fan_out, fit
+from .sampler import Workers, fit
 from .selection import (
     PERMUTATION_SEED_OFFSET,
     SelectionResult,
@@ -173,12 +173,17 @@ def fit_replicates(
     fit_config: FitConfig,
     seed: int,
     l_rep: int,
-    jobs: int = 1,
+    jobs: int | Workers = 1,
     start: int = 0,
 ) -> list[PosteriorTrace]:
-    """Independent replicate fits with seeds seed + start .. seed + l_rep - 1."""
+    """Independent replicate fits with seeds seed + start .. seed + l_rep - 1.
+
+    ``jobs`` is a worker count, for a pool that lives for this call only, or
+    an open :class:`~bartsel.sampler.Workers`, which is used and left open.
+    """
     tasks = [(dataset, replace(fit_config, seed=seed + i)) for i in range(start, l_rep)]
-    return fan_out(_fit_one, tasks, jobs)
+    with Workers.borrow(jobs) as workers:
+        return workers.map(_fit_one, tasks)
 
 
 def _mean_importance(traces: list[PosteriorTrace], kind: str) -> np.ndarray:
@@ -221,13 +226,22 @@ def _grow(cache: dict, key, count: int, compute) -> list:
     return rows[:count]
 
 
-def run_method(dataset: Dataset, config: RunConfig, cache: dict | None = None) -> MethodResult:
+def run_method(
+    dataset: Dataset,
+    config: RunConfig,
+    cache: dict | None = None,
+    workers: Workers | None = None,
+) -> MethodResult:
     """Fit, summarize, and select end to end for one dataset.
 
     ``cache``, if given, belongs to this dataset: it keeps the replicate fits
     (keyed by the method's fit configuration and seed) and the null rows
     (also by importance kind) across calls, and each call computes only the
     rows it lacks.
+
+    The replicate and the null fits share one pool of ``config.jobs``
+    workers, shut down before this returns. ``workers``, an open holder the
+    caller closes (``run_grid`` passes one per grid), runs them instead.
     """
     config.validate()
     spec = METHOD_SPECS[config.method]
@@ -235,29 +249,30 @@ def run_method(dataset: Dataset, config: RunConfig, cache: dict | None = None) -
     fit_cfg = config.fit_config()
     cache = {} if cache is None else cache
     t0 = time.perf_counter()
-    traces = _grow(
-        cache,
-        (fit_cfg, config.seed),
-        l_rep,
-        lambda start, stop: fit_replicates(
-            dataset, fit_cfg, config.seed, stop, jobs=config.jobs, start=start
-        ),
-    )
     null = None
     perm_seeds: list[int] = []
-    if spec.needs_null:
-        rows = _grow(
+    with Workers.borrow(config.jobs if workers is None else workers) as pool:
+        traces = _grow(
             cache,
-            (fit_cfg, config.seed, spec.perm_kind),
-            config.l_perm,
-            lambda start, stop: permutation_null(
-                dataset, spec.perm_kind, stop, fit_cfg, config.seed, jobs=config.jobs, start=start
+            (fit_cfg, config.seed),
+            l_rep,
+            lambda start, stop: fit_replicates(
+                dataset, fit_cfg, config.seed, stop, jobs=pool, start=start
             ),
         )
-        null = np.stack(rows)
-        perm_seeds = [
-            config.seed + PERMUTATION_SEED_OFFSET + ell for ell in range(1, config.l_perm + 1)
-        ]
+        if spec.needs_null:
+            rows = _grow(
+                cache,
+                (fit_cfg, config.seed, spec.perm_kind),
+                config.l_perm,
+                lambda start, stop: permutation_null(
+                    dataset, spec.perm_kind, stop, fit_cfg, config.seed, jobs=pool, start=start
+                ),
+            )
+            null = np.stack(rows)
+            perm_seeds = [
+                config.seed + PERMUTATION_SEED_OFFSET + ell for ell in range(1, config.l_perm + 1)
+            ]
     selection, summary = select_with_method(config.method, traces, null, config.alpha)
     runtime = time.perf_counter() - t0
     return MethodResult(

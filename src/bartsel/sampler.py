@@ -29,10 +29,12 @@ float sum rounds as a full scan would without costing O(n).
 from __future__ import annotations
 
 import bisect
+import contextlib
 import functools
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -713,11 +715,48 @@ def fit(
     return EnsembleSampler(dataset, config, rng=rng).run()
 
 
-def fan_out(worker, tasks: list, jobs: int = 1) -> list:
-    """``[worker(t) for t in tasks]``, run in a pool of ``jobs`` processes
-    when jobs > 1 and there are at least two tasks. ``worker`` must be a
-    module-level function so the pool can pickle it."""
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, tasks))
-    return [worker(t) for t in tasks]
+class Workers:
+    """A pool of ``jobs`` worker processes, held open across many ``map`` calls.
+
+    Use it as a context manager: the pool starts on the first ``map`` that
+    needs it and is shut down on exit, so one selection run or one grid forks
+    its workers once. ``map(worker, tasks)`` is ``[worker(t) for t in tasks]``,
+    run in this process when jobs is 1 or there are fewer than two tasks.
+    ``worker`` must be a module-level function so the pool can pickle it.
+    Workers start by the platform's default method (fork on Linux); a spawned
+    worker would import numpy, scipy and bartsel again, which costs more than
+    the pool saves. If a worker dies, ``map`` raises ``BrokenProcessPool``
+    and drops the pool; the next ``map`` starts a new one.
+    """
+
+    def __init__(self, jobs: int = 1) -> None:
+        self.jobs = jobs
+        self._pool: ProcessPoolExecutor | None = None
+
+    @staticmethod
+    def borrow(jobs: int | Workers):
+        """A context for ``jobs``: an open holder as it is (left open on
+        exit), or a new holder of that many workers (closed on exit)."""
+        return contextlib.nullcontext(jobs) if isinstance(jobs, Workers) else Workers(jobs)
+
+    def __enter__(self) -> Workers:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown()
+
+    def map(self, worker, tasks: list) -> list:
+        if self.jobs <= 1 or len(tasks) < 2:
+            return [worker(t) for t in tasks]
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+        try:
+            return list(self._pool.map(worker, tasks))
+        except BrokenProcessPool:
+            self.close()
+            raise

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Dataset, FitConfig
-from .sampler import FitError, fan_out, fit
+from .sampler import FitError, Workers, fit
 from .summaries import (
     KIND_MI,
     KIND_VIP,
@@ -228,13 +228,17 @@ def permutation_null(
     l_perm: int,
     config: FitConfig,
     seed: int,
-    jobs: int = 1,
+    jobs: int | Workers = 1,
     start: int = 0,
 ) -> np.ndarray:
     """Null importance matrix ((l_perm - start) x p) of the permutations
     ell = start + 1 .. l_perm: row ell comes from one fit on a uniformly
     permuted response, seeded seed + 10000 + ell, so any block of rows
-    equals the same rows of the full null."""
+    equals the same rows of the full null.
+
+    ``jobs`` is a worker count, for a pool that lives for this call only, or
+    an open :class:`~bartsel.sampler.Workers`, which is used and left open.
+    """
     if importance_kind not in (KIND_VIP, KIND_MI):
         raise ValueError(f"unsupported null importance kind {importance_kind!r}")
     if l_perm < 1:
@@ -245,7 +249,8 @@ def permutation_null(
         (dataset, config, seed + PERMUTATION_SEED_OFFSET + ell, importance_kind, ell)
         for ell in range(start + 1, l_perm + 1)
     ]
-    return np.stack(fan_out(_null_row, tasks, jobs))
+    with Workers.borrow(jobs) as workers:
+        return np.stack(workers.map(_null_row, tasks))
 
 
 def _as_observed(observed) -> np.ndarray:

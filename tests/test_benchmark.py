@@ -2,10 +2,12 @@
 selection metrics, and the grid runner."""
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 
+from bartsel import methods, sampler
 from bartsel.benchmark import (
     BenchmarkError,
     EquationSpec,
@@ -20,6 +22,7 @@ from bartsel.benchmark import (
     run_grid,
 )
 from bartsel.data import FitConfig
+from bartsel.methods import RunConfig, run_method
 
 
 def eq(expression, ranges, id="test-eq"):
@@ -313,6 +316,38 @@ def fast_point(**kwargs):
     return GridPoint(**args)
 
 
+# fit seeds of the grid row that _fit_or_die kills its worker on
+DOOMED_SEEDS = frozenset({51, 52})
+_real_fit_one = methods._fit_one
+
+
+def _fit_or_die(task):
+    """``methods._fit_one``, except that the worker process exits on the
+    doomed row's seeds. Module level, so the pool can pickle it."""
+    dataset, cfg = task
+    if cfg.seed in DOOMED_SEEDS:
+        os._exit(1)
+    return _real_fit_one(task)
+
+
+def without_runtime(row):
+    return dataclasses.replace(row, metrics=dataclasses.replace(row.metrics, runtime_s=0.0))
+
+
+def count_pools(monkeypatch) -> list:
+    """Replace the pool class the sampler builds with one that counts
+    constructions; returns the list the count is appended to."""
+    built = []
+
+    class CountingPool(sampler.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(sampler, "ProcessPoolExecutor", CountingPool)
+    return built
+
+
 class TestRunGrid:
     def test_single_point(self):
         rows = run_grid([fast_point()])
@@ -403,3 +438,42 @@ class TestRunGrid:
         assert grown.error is None and grown.selected == lone.selected
         a, b = grown.metrics, lone.metrics
         assert dataclasses.replace(a, runtime_s=0.0) == dataclasses.replace(b, runtime_s=0.0)
+
+    def test_one_pool_per_run(self, monkeypatch):
+        pts = [
+            fast_point(method="bart-vip-local", l_rep=2, l_perm=3),
+            fast_point(method="bart-vc-measure", l_rep=3),
+            fast_point(method="dart-vc-measure", l_rep=2),
+            fast_point(method="bart-vip-gse", l_rep=3, l_perm=5),
+        ]
+        built = count_pools(monkeypatch)
+        serial = run_grid(pts, jobs=1)
+        assert built == []
+        parallel = run_grid(pts, jobs=2)
+        assert len(built) == 1
+        assert all(row.error is None for row in parallel)
+        assert [without_runtime(r) for r in parallel] == [without_runtime(r) for r in serial]
+
+        dataset = generate_dataset(REGISTRY["product2"], 40, 5.0, 1, seed=3)
+        config = RunConfig(
+            method="bart-vip-gmax", fit=pts[0].fit_config(), l_rep=2, l_perm=3, seed=4, jobs=2
+        )
+        built.clear()
+        run_method(dataset, config)
+        assert len(built) == 1
+
+    def test_dead_worker_fails_only_its_row(self, monkeypatch):
+        pts = [
+            fast_point(method="bart-vip-local", l_rep=2, l_perm=3, seed=0),
+            fast_point(method="bart-vc-measure", l_rep=2, seed=50),  # fit seeds 51, 52
+            fast_point(method="bart-vip-gmax", l_rep=2, l_perm=3, seed=100),
+        ]
+        serial = run_grid(pts, jobs=1)
+        # forked workers inherit the patch; the parent never calls the worker
+        # itself here, because every fan-out has at least two tasks
+        monkeypatch.setattr(methods, "_fit_one", _fit_or_die)
+        rows = run_grid(pts, jobs=2)
+        assert rows[1].error.startswith("BrokenProcessPool") and rows[1].metrics is None
+        for i in (0, 2):
+            assert rows[i].error is None
+            assert without_runtime(rows[i]) == without_runtime(serial[i])

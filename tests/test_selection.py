@@ -11,6 +11,7 @@ from bartsel import (
     cluster_select,
     cut_two,
     fit,
+    fit_replicates,
     hac_average_linkage,
     mpm_select,
     permutation_null,
@@ -20,6 +21,7 @@ from bartsel import (
     validate_dataset,
     vip,
 )
+from bartsel.sampler import Workers
 from bartsel.summaries import (
     SOURCE_VC_MEASURE,
     SOURCE_VIP_RANK,
@@ -239,6 +241,19 @@ class TestPermutationNull:
         serial = permutation_null(ds, "vip", 3, FAST, seed=2, jobs=1)
         parallel = permutation_null(ds, "vip", 3, FAST, seed=2, jobs=2)
         np.testing.assert_array_equal(serial, parallel)
+        serial_fits = fit_replicates(ds, FAST, 2, 3, jobs=1)
+        # a caller's open pool is used and left open
+        with Workers(2) as workers:
+            shared = permutation_null(ds, "vip", 3, FAST, seed=2, jobs=workers)
+            pool = workers._pool
+            shared_fits = fit_replicates(ds, FAST, 2, 3, jobs=workers)
+            assert pool is not None and workers._pool is pool
+            assert workers.map(abs, [-1, -2]) == [1, 2]
+        assert workers._pool is None
+        np.testing.assert_array_equal(serial, shared)
+        for a, b in zip(serial_fits, shared_fits, strict=True):
+            np.testing.assert_array_equal(a.counts, b.counts)
+            np.testing.assert_array_equal(a.sigma2_path, b.sigma2_path)
 
     def test_mi_kind_supported(self):
         ds = tiny_dataset(9)
