@@ -241,9 +241,12 @@ def run_method(
 
     The replicate and the null fits share one pool of ``config.jobs``
     workers, shut down before this returns. ``workers``, an open holder the
-    caller closes (``run_grid`` passes one per grid), runs them instead.
+    caller closes (``run_grid`` passes one per grid), runs them instead; its
+    ``jobs`` must equal ``config.jobs`` (ValueError otherwise).
     """
     config.validate()
+    if workers is not None and workers.jobs != config.jobs:
+        raise ValueError(f"workers hold {workers.jobs} jobs but config.jobs is {config.jobs}")
     spec = METHOD_SPECS[config.method]
     l_rep = resolve_l_rep(config.method, config.l_rep)
     fit_cfg = config.fit_config()

@@ -329,12 +329,15 @@ def death_log_ratio(
 
 
 def update_split_probs(counts_total, alpha: float, rng: np.random.Generator) -> np.ndarray:
-    """Conjugate Gibbs draw s ~ Dirichlet(alpha/p + c_1, ..., alpha/p + c_p)."""
+    """Conjugate Gibbs draw s ~ Dirichlet(alpha/p + c_1, ..., alpha/p + c_p).
+
+    Negative or NaN counts and an alpha that is not positive and finite raise
+    ValueError (numpy's Dirichlet would return NaN for NaN input)."""
     counts_total = np.asarray(counts_total, dtype=np.float64)
-    if counts_total.min() < 0.0:
-        raise ValueError("split counts must be non-negative")
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    if not counts_total.min() >= 0.0:
+        raise ValueError("split counts must be non-negative numbers")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     return rng.dirichlet(alpha / counts_total.size + counts_total)
 
 

@@ -23,6 +23,7 @@ from bartsel.benchmark import (
 )
 from bartsel.data import FitConfig
 from bartsel.methods import RunConfig, run_method
+from bartsel.sampler import Workers
 
 
 def eq(expression, ranges, id="test-eq"):
@@ -461,6 +462,8 @@ class TestRunGrid:
         built.clear()
         run_method(dataset, config)
         assert len(built) == 1
+        with Workers(1) as workers, pytest.raises(ValueError, match="config.jobs"):
+            run_method(dataset, config, workers=workers)
 
     def test_dead_worker_fails_only_its_row(self, monkeypatch):
         pts = [

@@ -338,6 +338,9 @@ class TestSplitProbs:
             update_split_probs([-1, 0], 1.0, rng)
         with pytest.raises(ValueError):
             update_split_probs([0, 0], 0.0, rng)
+        for counts, alpha in (([1.0, math.nan], 1.0), ([1, 2], math.nan), ([1, 2], math.inf)):
+            with pytest.raises(ValueError):
+                update_split_probs(counts, alpha, rng)
 
 
 class TestSampleAlpha:
