@@ -3,7 +3,8 @@
 Exit codes: 0 on success (including an empty selection), 2 on usage errors
 (bad flags, unparseable grid files), 1 on runtime failures. The default
 number of parallel fit processes comes from the BARTSEL_JOBS environment
-variable (1 when unset); --jobs overrides it.
+variable (1 when unset or empty; any other value below 1 or not a whole
+number is a usage error); --jobs overrides it.
 """
 
 from __future__ import annotations
@@ -48,12 +49,19 @@ _RUNTIME_ERRORS = (
 
 
 def _jobs_value(jobs: int | None) -> int:
+    """``--jobs`` if given, else BARTSEL_JOBS, else 1. A BARTSEL_JOBS that is
+    not a whole number >= 1 is a usage error, as ``--jobs 0`` is; an empty
+    one counts as unset."""
     if jobs is not None:
         return jobs
+    raw = os.environ.get("BARTSEL_JOBS") or "1"
     try:
-        return max(1, int(os.environ.get("BARTSEL_JOBS", "1")))
+        value = int(raw)
     except ValueError:
-        return 1
+        value = 0
+    if value < 1:
+        raise click.UsageError(f"BARTSEL_JOBS must be an integer >= 1, got {raw!r}")
+    return value
 
 
 _jobs_option = click.option(
@@ -189,6 +197,7 @@ def cmd_select(
 @click.option("--resume", is_flag=True, help="Keep completed rows from an earlier metrics.csv.")
 def cmd_benchmark(grid_file, out, jobs, resume) -> None:
     """Run a benchmark grid and write per-row metrics plus aggregates."""
+    jobs = _jobs_value(jobs)
     try:
         points, equations = load_grid_file(grid_file)
     except GridFileError as exc:
@@ -221,7 +230,7 @@ def cmd_benchmark(grid_file, out, jobs, resume) -> None:
         rows = run_grid(
             points,
             equations,
-            jobs=_jobs_value(jobs),
+            jobs=jobs,
             skip=lambda index, pt: index in prefilled,
             progress=progress,
         )

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .data import PosteriorTrace
 
@@ -154,11 +153,25 @@ def importance(trace: PosteriorTrace, kind: str) -> np.ndarray:
 
 
 def rank_descending(values: np.ndarray, fit_id: int | None = None) -> RankVector:
-    """Midranks with rank 1 for the largest value; ties get averaged ranks."""
-    values = np.asarray(values, dtype=np.float64)
+    """Midranks with rank 1 for the largest value; ties get averaged ranks.
+
+    Equal to scipy's ``rankdata(-values)``: each tie group holds the
+    sorted positions ``bounds[g-1] .. bounds[g]-1`` and takes the mean of
+    their 1-based ranks. Every rank is a whole or half number, so it is exact.
+    Input of any shape is ranked flattened, as ``rankdata`` does.
+    """
+    values = np.asarray(values, dtype=np.float64).ravel()
     if not np.all(np.isfinite(values)):
         raise ValueError("importance values must be finite")
-    return RankVector(rankdata(-values, method="average"), fit_id)
+    order = np.argsort(-values, kind="stable")
+    desc = values[order]
+    tie_start = np.ones(values.size, dtype=bool)
+    tie_start[1:] = desc[1:] != desc[:-1]
+    dense = np.cumsum(tie_start)
+    bounds = np.append(np.flatnonzero(tie_start), values.size)
+    ranks = np.empty(values.size)
+    ranks[order] = 0.5 * (bounds[dense] + bounds[dense - 1] + 1)
+    return RankVector(ranks, fit_id)
 
 
 def build_summary_matrix(traces: list[PosteriorTrace], source_kind: str) -> SummaryMatrix:

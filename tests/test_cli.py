@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -761,10 +762,28 @@ class TestJobsValue:
         monkeypatch.delenv("BARTSEL_JOBS", raising=False)
         assert _jobs_value(None) == 1
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_empty_env_is_unset(self, monkeypatch):
+        monkeypatch.setenv("BARTSEL_JOBS", "")
+        assert _jobs_value(None) == 1
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
     def test_bad_env_values(self, monkeypatch, value):
         monkeypatch.setenv("BARTSEL_JOBS", value)
-        assert _jobs_value(None) == 1
+        with pytest.raises(click.UsageError, match="BARTSEL_JOBS"):
+            _jobs_value(None)
+
+    def test_bad_env_jobs_is_usage_error(self, runner, signal_csv, tmp_path, monkeypatch):
+        monkeypatch.setenv("BARTSEL_JOBS", "0")
+        grid = write_grid(tmp_path / "grid.json", BENCH_PAYLOAD)
+        select = ["select", str(signal_csv), "--method", "dart-mpm", *FAST_FLAGS]
+        for args in (
+            select + ["--out", str(tmp_path / "s")],
+            ["benchmark", str(grid), "--out", str(tmp_path / "b")],
+        ):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2, result.output
+            assert "BARTSEL_JOBS" in result.stderr
+        assert not (tmp_path / "s").exists() and not (tmp_path / "b").exists()
 
     def test_zero_jobs_flag_is_usage_error(self, runner, signal_csv, tmp_path):
         grid = write_grid(tmp_path / "grid.json", BENCH_PAYLOAD)
@@ -789,6 +808,19 @@ class TestConsoleScript:
             capture_output=True,
             text=True,
         )
+
+    def test_import_leaves_out_scipy_stats(self):
+        # bartsel needs only scipy.special; importing scipy's distributions
+        # module would add about half a second and 45 MB to every process.
+        code = (
+            "import bartsel, bartsel.cli, sys; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy.stats' or m.startswith('scipy.stats.')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "[]"
 
     def test_help_exits_zero(self):
         proc = self.run("--help")

@@ -145,6 +145,36 @@ class TestSigma2:
         lam = calibrate_lambda(np.zeros(10))
         assert lam > 0.0
 
+    def test_calibrate_lambda_matches_chi2_ppf_bitwise(self):
+        # lambda enters every chain, so it must equal the scipy.stats
+        # chi-square quantile to the bit, not only in value.
+        y = np.random.default_rng(5).normal(size=50)
+        v = float(np.var(y, ddof=1))
+        nus = [3, 3.0, *np.linspace(0.5, 50.0, 34).tolist()]
+        qs = [0.9, *np.linspace(0.01, 0.99, 34).tolist()]
+        for nu in nus:
+            for q in qs:
+                expected = v * float(stats.chi2.ppf(1.0 - q, nu)) / nu
+                assert calibrate_lambda(y, nu, q) == expected, (nu, q)
+
+    @pytest.mark.parametrize(
+        "nu, q",
+        [
+            (0.0, 0.9),
+            (-1.0, 0.9),
+            (math.nan, 0.9),
+            (math.inf, 0.9),
+            (3.0, 0.0),
+            (3.0, 1.0),
+            (3.0, 1.5),
+            (3.0, -0.1),
+            (3.0, math.nan),
+        ],
+    )
+    def test_calibrate_lambda_bad_inputs_rejected(self, nu, q):
+        with pytest.raises(ValueError, match="nu"):
+            calibrate_lambda(np.arange(5.0), nu, q)
+
 
 def leaf_log_marginal(stats_: LeafSufficientStats, sigma2: float, sigma_mu2: float) -> float:
     """Independent full marginal: r ~ N(0, sigma2*I + sigma_mu2*J) integrated

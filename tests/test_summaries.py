@@ -194,8 +194,22 @@ class TestRankDescending:
 
     def test_agrees_with_scipy_on_negated_values(self):
         rng = np.random.default_rng(8)
-        vals = rng.integers(0, 5, size=10).astype(float)
-        np.testing.assert_array_equal(rank_descending(vals).ranks, rankdata(-vals))
+        vectors = [
+            np.array([3.0]),
+            np.zeros(7),
+            np.full(306, 2.5),
+            np.array([0.0, -0.0, 1.0, -0.0, 0.0]),
+            np.array([[1.0, 2.0], [3.0, 2.0]]),
+            rng.normal(size=306),
+        ]
+        for _ in range(200):
+            p = int(rng.integers(1, 307))
+            vectors.append(rng.integers(0, 4, size=p).astype(float))
+            vectors.append(rng.choice([-0.0, 0.0, 0.5, 7.0], size=p))
+        for vals in vectors:
+            ranks = rank_descending(vals).ranks
+            assert ranks.dtype == np.float64
+            assert np.array_equal(ranks, rankdata(-vals)), vals
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
