@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -161,6 +162,10 @@ class DecisionTree:
     during sampling. ``accept_prob[i]`` is a bookkeeping tag on internal
     nodes: the Metropolis-Hastings acceptance probability min(1, r) of the
     move that created or last modified the rule at ``i``.
+
+    ``leaf_ids()`` and ``prunable_ids()`` cache their lists until the next
+    ``split_leaf`` or ``prune``; ``set_rule`` changes neither set. Callers
+    must not mutate the returned lists.
     """
 
     __slots__ = (
@@ -173,6 +178,8 @@ class DecisionTree:
         "accept_prob",
         "root",
         "_free",
+        "_leaves",
+        "_prunables",
     )
 
     def __init__(self) -> None:
@@ -185,6 +192,8 @@ class DecisionTree:
         self.accept_prob: list[float] = [0.0]
         self.root: int = 0
         self._free: list[int] = []
+        self._leaves: list[int] | None = None
+        self._prunables: list[int] | None = None
 
     @classmethod
     def stump(cls, value: float = 0.0) -> "DecisionTree":
@@ -207,13 +216,23 @@ class DecisionTree:
         return [i for i, f in enumerate(self.feature) if f != _FREE]
 
     def leaf_ids(self) -> list[int]:
-        return [i for i, f in enumerate(self.feature) if f == _NO_NODE]
+        if self._leaves is None:
+            self._leaves = self._scan_leaves()
+        return self._leaves
 
     def internal_ids(self) -> list[int]:
         return [i for i, f in enumerate(self.feature) if f >= 0]
 
     def prunable_ids(self) -> list[int]:
         """Internal nodes whose children are both leaves."""
+        if self._prunables is None:
+            self._prunables = self._scan_prunables()
+        return self._prunables
+
+    def _scan_leaves(self) -> list[int]:
+        return [i for i, f in enumerate(self.feature) if f == _NO_NODE]
+
+    def _scan_prunables(self) -> list[int]:
         feature, left, right = self.feature, self.left, self.right
         return [
             i
@@ -222,7 +241,7 @@ class DecisionTree:
         ]
 
     def n_leaves(self) -> int:
-        return self.feature.count(_NO_NODE)
+        return len(self.leaf_ids())
 
     def depth(self, i: int) -> int:
         d = 0
@@ -262,6 +281,7 @@ class DecisionTree:
         self.cutpoint[i] = float(c)
         self.left[i] = l
         self.right[i] = r
+        self._leaves = self._prunables = None
         return l, r
 
     def prune(self, i: int) -> None:
@@ -276,6 +296,7 @@ class DecisionTree:
         self.right[i] = _NO_NODE
         self.value[i] = 0.0
         self.accept_prob[i] = 0.0
+        self._leaves = self._prunables = None
 
     def set_rule(self, i: int, j: int, c: float) -> None:
         if self.is_leaf(i):
@@ -310,6 +331,7 @@ class DecisionTree:
         t.accept_prob = list(self.accept_prob)
         t.root = self.root
         t._free = list(self._free)
+        t._leaves = t._prunables = None
         return t
 
     def validate(self) -> None:
@@ -332,6 +354,10 @@ class DecisionTree:
             "free list and free-slot tags disagree"
         )
         assert self.parent[self.root] == _NO_NODE
+        assert self._leaves is None or self._leaves == self._scan_leaves(), "stale leaf cache"
+        assert self._prunables is None or self._prunables == self._scan_prunables(), (
+            "stale prunable cache"
+        )
 
 
 def predict_tree(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
@@ -415,22 +441,28 @@ class FitConfig:
             raise ValueError("n_trees must be >= 1")
         if self.burn_in < 0 or self.n_draws < 1:
             raise ValueError("burn_in must be >= 0 and n_draws >= 1")
+        # each check is "not (in range)", so a NaN fails it
         if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must lie in (0, 1)")
-        if self.beta < 0.0:
-            raise ValueError("beta must be >= 0")
-        if self.k_leaf <= 0.0 or self.nu <= 0.0 or not 0.0 < self.q < 1.0:
-            raise ValueError("k_leaf, nu must be positive and q in (0, 1)")
+            raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
+        if not 0.0 <= self.beta < math.inf:
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
+        if not 0.0 < self.q < 1.0:
+            raise ValueError(f"q must lie in (0, 1), got {self.q}")
+        positive = {"k_leaf": self.k_leaf, "nu": self.nu, "dart_a": self.dart_a, "dart_b": self.dart_b}
+        if self.dart_rho is not None:
+            positive["dart_rho"] = self.dart_rho
+        for name, value in positive.items():
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.prior_kind not in ("bart", "dart"):
             raise ValueError(f"unknown prior_kind {self.prior_kind!r}")
-        if self.dart_a <= 0.0 or self.dart_b <= 0.0:
-            raise ValueError("dart_a and dart_b must be positive")
-        if self.dart_rho is not None and self.dart_rho <= 0.0:
-            raise ValueError("dart_rho must be positive when given")
         if self.alpha_grid_size < 1:
             raise ValueError("alpha_grid_size must be >= 1")
-        if self.p_birth < 0 or self.p_death < 0 or self.p_birth + self.p_death > 1.0:
-            raise ValueError("move probabilities must be non-negative and sum to <= 1")
+        if not (self.p_birth >= 0.0 and self.p_death >= 0.0 and self.p_birth + self.p_death <= 1.0):
+            raise ValueError(
+                f"move probabilities must be non-negative and sum to <= 1, "
+                f"got p_birth={self.p_birth}, p_death={self.p_death}"
+            )
 
 
 @dataclass

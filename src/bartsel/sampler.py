@@ -222,6 +222,9 @@ def _log(x: float) -> float:
     return math.log(x) if x > 0.0 else -math.inf
 
 
+# Both prior terms are pure functions of ints and config floats, so a cached
+# value has the bits a fresh evaluation would have.
+@functools.lru_cache(maxsize=1024)
 def _kernel_log_ratio(n_leaves: int, n_prunable_after: int, p_birth: float, p_death: float) -> float:
     """log q(T|T*)/q(T*|T) for a BIRTH with ``n_leaves`` leaves before the
     split and ``n_prunable_after`` prunable nodes afterwards. The rule
@@ -230,6 +233,7 @@ def _kernel_log_ratio(n_leaves: int, n_prunable_after: int, p_birth: float, p_de
     return _log(p_death) - _log(p_birth) + _log(float(n_leaves)) - _log(float(n_prunable_after))
 
 
+@functools.lru_cache(maxsize=256)
 def _birth_prior_log_ratio(depth: int, gamma: float, beta: float) -> float:
     """log p(T*)/p(T) for splitting a depth-``depth`` leaf, rule term excluded."""
     ps_d = p_split(depth, gamma, beta)
@@ -411,6 +415,13 @@ def sample_alpha(
 # -- the sampler ---------------------------------------------------------------
 
 
+def _pick(rng: np.random.Generator, ids):
+    """``ids[rng.integers(len(ids))]``, skipping the call for one candidate:
+    numpy's ``integers(1)`` returns 0 without advancing the bit generator
+    (a test pins this), so the stream is the same either way."""
+    return ids[int(rng.integers(len(ids)))] if len(ids) > 1 else ids[0]
+
+
 def _accept_prob(log_r: float, context: str) -> float:
     """min(1, exp(log_r)) with a finite-ness guard; -inf is a valid hard reject."""
     if math.isnan(log_r):
@@ -452,12 +463,15 @@ class EnsembleSampler:
         self.priors = TreePriors(
             self.sigma_mu2, config.gamma, config.beta, config.p_birth, config.p_death
         )
+        # a uniform below the first cut proposes BIRTH, below the second DEATH
+        self._move_cuts = (config.p_birth, config.p_birth + config.p_death)
 
         self.trees = [DecisionTree.stump(0.0) for _ in range(T)]
         # per tree: ascending row indices of every live node (see module doc)
         self.node_rows = [{tree.root: np.arange(self.n)} for tree in self.trees]
         self.assign = np.zeros((T, self.n), dtype=np.int64)
-        self.tree_pred = np.zeros((T, self.n), dtype=np.float64)
+        # one array per tree: a leaf redraw replaces its tree's array
+        self.tree_pred = [np.zeros(self.n) for _ in range(T)]
         self.resid = self.ysc.copy()
         self.counts = np.zeros((T, self.p), dtype=np.int64)
 
@@ -475,9 +489,7 @@ class EnsembleSampler:
 
     def _draw_rule(self) -> tuple[int, float]:
         j = self._draw_feature()
-        grid = self.grids.grids[j]
-        c = float(grid[int(self.rng.integers(grid.size))])
-        return j, c
+        return j, float(_pick(self.rng, self.grids.grids[j]))
 
     @staticmethod
     def _split_rows(node_rows, assign_t, rows, go_left, left_id: int, right_id: int) -> None:
@@ -490,7 +502,7 @@ class EnsembleSampler:
     def _propose_birth(self, t: int, tree: DecisionTree, assign_t, r_t) -> None:
         rng = self.rng
         leaves = tree.leaf_ids()
-        node = leaves[int(rng.integers(len(leaves)))]
+        node = _pick(rng, leaves)
         node_rows = self.node_rows[t]
         rows = node_rows[node]
         if rows.size <= 1:
@@ -528,7 +540,7 @@ class EnsembleSampler:
         prunables = tree.prunable_ids()
         if not prunables:
             return  # single-leaf tree: DEATH disallowed, sweep continues
-        node = prunables[int(rng.integers(len(prunables)))]
+        node = _pick(rng, prunables)
         node_rows = self.node_rows[t]
         left_id, right_id = tree.left[node], tree.right[node]
         rows_left, rows_right = node_rows[left_id], node_rows[right_id]
@@ -560,7 +572,7 @@ class EnsembleSampler:
         prunables = tree.prunable_ids()
         if not prunables:
             return
-        node = prunables[int(rng.integers(len(prunables)))]
+        node = _pick(rng, prunables)
         node_rows = self.node_rows[t]
         left_id, right_id = tree.left[node], tree.right[node]
         rows = node_rows[node]
@@ -597,13 +609,16 @@ class EnsembleSampler:
         node_rows = self.node_rows[t]
         # bincount adds each leaf's residuals one by one in row order; a
         # pairwise np.add.reduce over the leaf's rows would round differently
-        sums = np.bincount(assign_t, weights=r_t, minlength=tree.arena_size)[ids].tolist()
+        sums = np.bincount(assign_t, weights=r_t, minlength=tree.arena_size).tolist()
         z = self.rng.standard_normal(len(ids)).tolist()
+        sigma2 = self.sigma2
+        prior_prec = 1.0 / self.sigma_mu2
         value = tree.value
-        for i, s_i, z_i in zip(ids, sums, z):
-            m, v = leaf_posterior(node_rows[i].size, s_i, self.sigma2, self.sigma_mu2)
-            # math.sqrt is correctly rounded, so it matches np.sqrt bit for bit
-            value[i] = m + math.sqrt(v) * z_i
+        for i, z_i in zip(ids, z):
+            # leaf_posterior's v and m, in its order of operations; math.sqrt
+            # is correctly rounded, so it matches np.sqrt bit for bit
+            v = 1.0 / (node_rows[i].size / sigma2 + prior_prec)
+            value[i] = v * sums[i] / sigma2 + math.sqrt(v) * z_i
         # assign_t holds leaf ids only, so the other slots' values are never read
         new_pred = np.array(value)[assign_t]
         self.resid += self.tree_pred[t] - new_pred
@@ -615,11 +630,11 @@ class EnsembleSampler:
         tree = self.trees[t]
         assign_t = self.assign[t]
         r_t = self.resid + self.tree_pred[t]
-        cfg = self.config
+        birth_cut, death_cut = self._move_cuts
         u = self.rng.random()
-        if u < cfg.p_birth:
+        if u < birth_cut:
             self._propose_birth(t, tree, assign_t, r_t)
-        elif u < cfg.p_birth + cfg.p_death:
+        elif u < death_cut:
             self._propose_death(t, tree, assign_t, r_t)
         else:
             self._propose_change(t, tree, assign_t, r_t)

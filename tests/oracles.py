@@ -261,6 +261,11 @@ class MaskScanSampler(EnsembleSampler):
         j = int(np.searchsorted(np.cumsum(self.s), self.rng.random(), side="right"))
         return min(j, self.p - 1)
 
+    def _draw_rule(self) -> tuple[int, float]:
+        j = self._draw_feature()
+        grid = self.grids.grids[j]
+        return j, float(grid[int(self.rng.integers(grid.size))])
+
     def _propose_birth(self, t, tree, assign_t, r_t) -> None:
         rng = self.rng
         leaves = tree_leaves(tree)

@@ -264,6 +264,35 @@ class TestTreeArena:
         dup.split_leaf(dup.root, 0, 0.0)
         assert tree.n_leaves() == 1 and dup.n_leaves() == 2
 
+    def test_cached_id_lists_follow_each_edit(self):
+        tree = DecisionTree.stump(0.0)
+        l, r = tree.split_leaf(tree.root, 0, 0.0)
+        assert tree.leaf_ids() == [l, r] and tree.prunable_ids() == [tree.root]
+        ll, lr = tree.split_leaf(l, 1, 0.5)
+        assert tree.leaf_ids() == [r, ll, lr] and tree.prunable_ids() == [l]
+        tree.set_rule(l, 2, -1.0)  # a rule swap keeps both sets
+        assert tree.leaf_ids() == [r, ll, lr] and tree.prunable_ids() == [l]
+        dup = tree.copy()
+        tree.prune(l)
+        assert tree.leaf_ids() == [l, r] and tree.prunable_ids() == [tree.root]
+        assert dup.leaf_ids() == [r, ll, lr] and dup.prunable_ids() == [l]
+        tree.validate()
+        dup.validate()
+
+    def test_validate_catches_a_stale_id_cache(self):
+        tree = DecisionTree.stump(0.0)
+        tree.split_leaf(tree.root, 0, 0.0)
+        tree.leaf_ids()
+        tree.prunable_ids()
+        tree.validate()
+        tree._leaves = [tree.root]
+        with pytest.raises(AssertionError, match="stale leaf"):
+            tree.validate()
+        tree._leaves = None
+        tree._prunables = []
+        with pytest.raises(AssertionError, match="stale prunable"):
+            tree.validate()
+
 
 class TestFitConfig:
     def test_defaults_are_valid(self):
@@ -285,3 +314,13 @@ class TestFitConfig:
     def test_bad_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             FitConfig(**kwargs).validate()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "field",
+        ["gamma", "beta", "k_leaf", "nu", "q", "dart_a", "dart_b", "dart_rho", "p_birth", "p_death"],
+    )
+    def test_non_finite_fields_rejected_by_name(self, field, value):
+        name = "move probabilities" if field.startswith("p_") else field
+        with pytest.raises(ValueError, match=name):
+            FitConfig(**{field: value}).validate()

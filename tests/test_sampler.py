@@ -35,7 +35,7 @@ from bartsel import (
     validate_dataset,
     vip,
 )
-from bartsel.sampler import FitError, _alpha_grid, birth_log_ratio, death_log_ratio
+from bartsel.sampler import FitError, _alpha_grid, _pick, birth_log_ratio, death_log_ratio
 from oracles import MaskScanSampler, alpha_log_weights, routed_rows
 
 
@@ -531,7 +531,9 @@ class TestSamplerSweeps:
             sampler._redraw_leaves(t, tree, assign_t, r_t)
         assert all(v > 0 for v in checked.values())
 
-    @pytest.mark.parametrize("case", ["bart", "dart-mi-s-path", "n2-p1", "constant-column", "heavy-ties"])
+    @pytest.mark.parametrize(
+        "case", ["bart", "dart-mi-s-path", "n2-p1", "constant-column", "heavy-ties", "deep-trees"]
+    )
     def test_kernel_is_bit_exact_against_mask_scan_reference(self, case):
         rng = np.random.default_rng(32)
         cfg = FitConfig(n_trees=5, burn_in=60, n_draws=60, seed=10, track_mi=True)
@@ -548,15 +550,22 @@ class TestSamplerSweeps:
             X[:, 1] = 4.0
             ds = validate_dataset(2.0 * X[:, 0] + rng.normal(0.0, 0.2, 50), X)
             cfg = FitConfig(n_trees=5, burn_in=60, n_draws=60, seed=12, prior_kind="dart")
-        else:
+        elif case == "heavy-ties":
             X = rng.integers(0, 3, size=(60, 3)).astype(float)
             ds = validate_dataset(X[:, 0] + rng.normal(0.0, 0.3, 60), X)
+        else:
+            # few trees and a weak depth penalty: node picks among several
+            # leaves and prunable nodes, many splits and prunes per tree
+            ds = make_regression(n=80, p=4, seed=35)
+            cfg = FitConfig(n_trees=2, burn_in=60, n_draws=60, seed=13, beta=0.5, track_mi=True)
         ours, ref = EnsembleSampler(ds, cfg), MaskScanSampler(ds, cfg)
         trace = ours.run()
         assert trace == ref.run()
         assert np.array_equal(ours.resid, ref.resid)
         assert [t.value for t in ours.trees] == [t.value for t in ref.trees]
         assert trace.counts.sum() > 0  # the chain did split
+        if case == "deep-trees":
+            assert trace.leaf_counts.max() >= 5
 
     def test_counts_match_internal_nodes_every_draw(self):
         ds = make_regression(seed=22)
@@ -645,3 +654,28 @@ class TestSamplerSweeps:
         ds = make_regression(seed=29)
         trace = fit(ds, FitConfig(n_trees=10, burn_in=150, n_draws=100, seed=8))
         assert abs(trace.insample_mean_path.mean() - ds.y.mean()) < 0.25
+
+
+class TestNumpyStream:
+    """The sampler skips ``rng.integers(1)`` when a pick has one candidate.
+    That keeps the stream only while numpy returns 0 for it without touching
+    the bit generator; a numpy release that changes this must fail here."""
+
+    @pytest.mark.parametrize("n_uint32", [0, 1, 3])
+    def test_integers_of_one_draws_nothing(self, n_uint32):
+        rng = np.random.default_rng(41)
+        for _ in range(n_uint32):
+            rng.integers(0, 7, dtype=np.int32)  # buffered 32-bit draws
+        state = rng.bit_generator.state
+        assert state["has_uint32"] == n_uint32 % 2
+        assert rng.integers(1) == 0
+        assert rng.bit_generator.state == state
+
+    def test_pick_draws_as_an_unconditional_integers_call(self):
+        ours, ref = np.random.default_rng(42), np.random.default_rng(42)
+        for k in [1, 3, 1, 1, 2, 5, 1, 4, 1]:
+            ids = list(range(10, 10 + k))
+            assert _pick(ours, ids) == ids[int(ref.integers(len(ids)))]
+            ours.integers(0, 7, dtype=np.int32)
+            ref.integers(0, 7, dtype=np.int32)
+            assert ours.bit_generator.state == ref.bit_generator.state
