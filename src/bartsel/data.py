@@ -24,11 +24,8 @@ __all__ = [
     "validate_dataset",
     "CutpointGrid",
     "DecisionTree",
-    "EnsembleState",
     "FitConfig",
     "PosteriorTrace",
-    "predict_tree",
-    "predict_ensemble",
 ]
 
 
@@ -304,14 +301,7 @@ class DecisionTree:
         self.feature[i] = int(j)
         self.cutpoint[i] = float(c)
 
-    # -- traversal ----------------------------------------------------------
-
-    def route(self, x: np.ndarray) -> int:
-        """Leaf id reached by a single observation."""
-        i = self.root
-        while self.feature[i] >= 0:
-            i = self.left[i] if x[self.feature[i]] <= self.cutpoint[i] else self.right[i]
-        return i
+    # -- whole-tree views -----------------------------------------------------
 
     def split_counts(self, p: int) -> np.ndarray:
         """Number of internal nodes splitting on each feature, shape (p,)."""
@@ -358,50 +348,6 @@ class DecisionTree:
         assert self._prunables is None or self._prunables == self._scan_prunables(), (
             "stale prunable cache"
         )
-
-
-def predict_tree(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
-    """Evaluate one tree at each row of ``X`` (shape (n, p)) -> (n,)."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    n = X.shape[0]
-    # iterative level-order routing, vectorized over observations
-    idx = np.full(n, tree.root, dtype=np.int64)
-    feature = np.asarray(tree.feature, dtype=np.int64)
-    cutpoint = np.asarray(tree.cutpoint, dtype=np.float64)
-    left = np.asarray(tree.left, dtype=np.int64)
-    right = np.asarray(tree.right, dtype=np.int64)
-    active = feature[idx] >= 0
-    while active.any():
-        rows = np.flatnonzero(active)
-        nodes = idx[rows]
-        go_left = X[rows, feature[nodes]] <= cutpoint[nodes]
-        idx[rows] = np.where(go_left, left[nodes], right[nodes])
-        active[rows] = feature[idx[rows]] >= 0
-    return np.asarray(tree.value, dtype=np.float64)[idx]
-
-
-@dataclass
-class EnsembleState:
-    """One ensemble draw: trees, noise variance, and (for the sparse prior)
-    the split-probability vector and its concentration."""
-
-    trees: list[DecisionTree]
-    sigma2: float
-    split_probs: np.ndarray | None = None
-    alpha: float | None = None
-
-    @property
-    def n_trees(self) -> int:
-        return len(self.trees)
-
-
-def predict_ensemble(state: EnsembleState, X: np.ndarray) -> np.ndarray:
-    """Sum of per-tree predictions, shape (n,)."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    out = np.zeros(X.shape[0], dtype=np.float64)
-    for t in state.trees:
-        out += predict_tree(t, X)
-    return out
 
 
 @dataclass(frozen=True)

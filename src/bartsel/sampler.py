@@ -1,8 +1,9 @@
 """Metropolis-within-Gibbs sampler for sum-of-trees regression.
 
 Each sweep backfits the T trees one at a time: a structural proposal
-(BIRTH / DEATH / CHANGE with probabilities 0.25 / 0.25 / 0.50) is accepted
-or rejected by a Metropolis-Hastings ratio with leaf values integrated out
+(BIRTH / DEATH / CHANGE with probabilities ``FitConfig.p_birth`` /
+``p_death`` / the rest, 0.25 / 0.25 / 0.50 by default) is accepted or
+rejected by a Metropolis-Hastings ratio with leaf values integrated out
 analytically, all leaf values are then redrawn from their Gaussian full
 conditionals, and finally the noise variance is redrawn from its
 inverse-Gamma full conditional.
@@ -49,21 +50,15 @@ from .data import (
 )
 
 __all__ = [
-    "MOVE_BIRTH",
-    "MOVE_DEATH",
-    "MOVE_CHANGE",
-    "MOVE_PROBS",
     "RuleExhaustedError",
     "FitError",
     "LeafSufficientStats",
-    "TreePriors",
     "p_split",
     "leaf_posterior",
     "sample_leaf_value",
     "sigma2_posterior",
     "sample_sigma2",
     "calibrate_lambda",
-    "split_loglik_gain",
     "birth_log_ratio",
     "death_log_ratio",
     "update_split_probs",
@@ -71,13 +66,6 @@ __all__ = [
     "EnsembleSampler",
     "fit",
 ]
-
-MOVE_BIRTH = "birth"
-MOVE_DEATH = "death"
-MOVE_CHANGE = "change"
-# proposal mix; CHANGE receives the remaining mass
-MOVE_PROBS = {MOVE_BIRTH: 0.25, MOVE_DEATH: 0.25, MOVE_CHANGE: 0.50}
-
 
 class RuleExhaustedError(RuntimeError):
     """No valid split rule exists for the node; the caller terminates it."""
@@ -106,13 +94,6 @@ class LeafSufficientStats:
             raise ValueError("n_leaf must be >= 0")
         if self.n_leaf > 0 and self.sum_r2 < self.sum_r**2 / self.n_leaf - 1e-9:
             raise ValueError("sum_r2 inconsistent with sum_r (Cauchy-Schwarz)")
-
-    def merged(self, other: "LeafSufficientStats") -> "LeafSufficientStats":
-        return LeafSufficientStats(
-            self.n_leaf + other.n_leaf,
-            self.sum_r + other.sum_r,
-            self.sum_r2 + other.sum_r2,
-        )
 
 
 def leaf_posterior(n_leaf, sum_r, sigma2: float, sigma_mu2: float):
@@ -190,34 +171,6 @@ def _node_gains(ns, sums, sigma2: float, sigma_mu2: float) -> list[float]:
     ]
 
 
-def split_loglik_gain(
-    left: LeafSufficientStats,
-    right: LeafSufficientStats,
-    sigma2: float,
-    sigma_mu2: float,
-) -> float:
-    """Log marginal-likelihood ratio of splitting one leaf into (left, right)
-    versus leaving it whole. The residual sum-of-squares terms cancel."""
-    g_left, g_right, g_parent = _node_gains(
-        (left.n_leaf, right.n_leaf, left.n_leaf + right.n_leaf),
-        (left.sum_r, right.sum_r, left.sum_r + right.sum_r),
-        sigma2,
-        sigma_mu2,
-    )
-    return g_left + g_right - g_parent
-
-
-@dataclass(frozen=True)
-class TreePriors:
-    """Everything the structural MH ratios need besides the data."""
-
-    sigma_mu2: float
-    gamma: float = 0.95
-    beta: float = 2.0
-    p_birth: float = MOVE_PROBS[MOVE_BIRTH]
-    p_death: float = MOVE_PROBS[MOVE_DEATH]
-
-
 def _log(x: float) -> float:
     return math.log(x) if x > 0.0 else -math.inf
 
@@ -263,18 +216,19 @@ def _birth_log_ratio(
     s_right: float,
     s_parent: float,
     sigma2: float,
-    priors: TreePriors,
+    sigma_mu2: float,
+    config: FitConfig,
 ) -> float:
     """The one BIRTH log MH ratio: transition-kernel ratio x tree-prior ratio
     x marginal-likelihood ratio. A DEATH is its exact negation. The parent
     sum is passed in rather than re-added, so each caller keeps its own
     rounding of it."""
     g_left, g_right, g_parent = _node_gains(
-        (n_left, n_right, n_left + n_right), (s_left, s_right, s_parent), sigma2, priors.sigma_mu2
+        (n_left, n_right, n_left + n_right), (s_left, s_right, s_parent), sigma2, sigma_mu2
     )
     return (
-        _kernel_log_ratio(n_leaves, n_prunable_after, priors.p_birth, priors.p_death)
-        + _birth_prior_log_ratio(depth, priors.gamma, priors.beta)
+        _kernel_log_ratio(n_leaves, n_prunable_after, config.p_birth, config.p_death)
+        + _birth_prior_log_ratio(depth, config.gamma, config.beta)
         + (g_left + g_right - g_parent)
     )
 
@@ -285,11 +239,14 @@ def birth_log_ratio(
     left: LeafSufficientStats,
     right: LeafSufficientStats,
     sigma2: float,
-    priors: TreePriors,
+    sigma_mu2: float,
+    config: FitConfig,
 ) -> float:
     """Log MH ratio for splitting leaf ``node`` into children with the given
     residual statistics: transition-kernel ratio x tree-prior ratio x
-    marginal-likelihood ratio."""
+    marginal-likelihood ratio. ``sigma2`` and ``sigma_mu2`` are the noise and
+    leaf-value variances; ``config`` supplies the move mix (``p_birth``,
+    ``p_death``) and the depth prior (``gamma``, ``beta``)."""
     if not tree.is_leaf(node):
         raise ValueError(f"node {node} is not a leaf")
     if left.n_leaf == 0 or right.n_leaf == 0:
@@ -304,7 +261,8 @@ def birth_log_ratio(
         right.sum_r,
         left.sum_r + right.sum_r,
         sigma2,
-        priors,
+        sigma_mu2,
+        config,
     )
 
 
@@ -314,10 +272,12 @@ def death_log_ratio(
     left: LeafSufficientStats,
     right: LeafSufficientStats,
     sigma2: float,
-    priors: TreePriors,
+    sigma_mu2: float,
+    config: FitConfig,
 ) -> float:
-    """Log MH ratio for pruning the prunable node ``node``: exactly the
-    negated log ratio of the BIRTH that would re-create it."""
+    """Log MH ratio for pruning the prunable node ``node`` whose children hold
+    ``left`` and ``right``: exactly the negated log ratio of the BIRTH that
+    would re-create it. The arguments are those of :func:`birth_log_ratio`."""
     if tree.is_leaf(node) or not (
         tree.is_leaf(tree.left[node]) and tree.is_leaf(tree.right[node])
     ):
@@ -332,7 +292,8 @@ def death_log_ratio(
         right.sum_r,
         left.sum_r + right.sum_r,
         sigma2,
-        priors,
+        sigma_mu2,
+        config,
     )
 
 
@@ -460,9 +421,6 @@ class EnsembleSampler:
         self.lam = calibrate_lambda(self.ysc, config.nu, config.q)
         self.sigma2 = max(float(np.var(self.ysc, ddof=1)) if self.n > 1 else 1.0, 1e-10)
 
-        self.priors = TreePriors(
-            self.sigma_mu2, config.gamma, config.beta, config.p_birth, config.p_death
-        )
         # a uniform below the first cut proposes BIRTH, below the second DEATH
         self._move_cuts = (config.p_birth, config.p_birth + config.p_death)
 
@@ -526,7 +484,8 @@ class EnsembleSampler:
             s_parent - s_left,
             s_parent,
             self.sigma2,
-            self.priors,
+            self.sigma_mu2,
+            self.config,
         )
         prob = _accept_prob(log_r, "BIRTH")
         if rng.random() < prob:
@@ -557,7 +516,8 @@ class EnsembleSampler:
             s_right,
             s_left + s_right,
             self.sigma2,
-            self.priors,
+            self.sigma_mu2,
+            self.config,
         )
         prob = _accept_prob(-log_birth, "DEATH")
         if rng.random() < prob:
@@ -640,13 +600,13 @@ class EnsembleSampler:
             self._propose_change(t, tree, assign_t, r_t)
         self._redraw_leaves(t, tree, assign_t, r_t)
 
-    def step(self, update_sparsity: bool = True) -> None:
+    def step(self) -> None:
         """One full sweep: all trees, then sigma^2, then (s, alpha) if sparse."""
         for t in range(self.config.n_trees):
             self._update_tree(t)
         sse = float(self.resid @ self.resid)
         self.sigma2 = sample_sigma2(sse, self.n, self.config.nu, self.lam, self.rng)
-        if self.is_dart and update_sparsity:
+        if self.is_dart:
             total = self.counts.sum(axis=0)
             self.s = update_split_probs(total, self.alpha, self.rng)
             self._s_cdf = np.cumsum(self.s).tolist()

@@ -298,6 +298,32 @@ def write_trace(trace: PosteriorTrace, path) -> None:
             fh.write(np.ascontiguousarray(probs, dtype="<f8").tobytes())
 
 
+# every key write_trace puts in the header
+_HEADER_KEYS = (
+    "n_kept", "p", "n_trees", "seed", "config", "has_mi", "has_alpha", "has_s", "mi_sizes"
+)
+
+
+def _check_header(header, path: Path) -> None:
+    """Name what is wrong with a trace header before any payload is read."""
+    if not isinstance(header, dict):
+        raise TraceFormatError(f"{path}: header is not a JSON object")
+    missing = [key for key in _HEADER_KEYS if key not in header]
+    if missing:
+        raise TraceFormatError(f"{path}: header lacks {', '.join(missing)}")
+    for key in ("n_kept", "p", "n_trees"):
+        value = header[key]
+        if type(value) is not int or value < 0:
+            raise TraceFormatError(f"{path}: header {key} must be an integer >= 0, got {value!r}")
+    if type(header["seed"]) is not int:
+        raise TraceFormatError(f"{path}: header seed must be an integer, got {header['seed']!r}")
+    sizes = header["mi_sizes"]
+    if header["has_mi"] and not (
+        isinstance(sizes, list) and all(type(size) is int and size >= 0 for size in sizes)
+    ):
+        raise TraceFormatError(f"{path}: header mi_sizes must be a list of integers >= 0")
+
+
 class _Cursor:
     def __init__(self, buf: bytes, offset: int) -> None:
         self.buf = buf
@@ -324,6 +350,7 @@ def read_trace(path) -> PosteriorTrace:
         header = json.loads(buf[9 : 9 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise TraceFormatError(f"{path}: corrupt header: {exc}") from exc
+    _check_header(header, path)
     n_kept, p, n_trees = header["n_kept"], header["p"], header["n_trees"]
     cur = _Cursor(buf, 9 + header_len)
     try:

@@ -3,7 +3,9 @@
 These deliberately recompute results by brute force (naive O(m^3)
 clustering, exhaustive threshold scans, bisection, tree queries by descent
 from the root, node rows by O(n) mask scans) so they share no code path with
-the package internals they verify.
+the package internals they verify. The split-gain helpers at the end are the
+exception: they expose the sampler's own node-gain formula so the tests can
+check it against full marginal likelihoods.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from bartsel import EnsembleSampler
+from bartsel import EnsembleSampler, LeafSufficientStats
+from bartsel.sampler import _node_gains
 
 
 def naive_upgma(points: np.ndarray) -> np.ndarray:
@@ -395,3 +398,33 @@ def alpha_log_weights(s: np.ndarray, a: float, b: float, rho: float, grid_size: 
         + (alpha_grid / p - 1.0) * log_s_sum
     )
     return alpha_grid, logw
+
+
+# -- the sampler's split gain, for checks against full marginals ----------------
+
+
+def merged(left: LeafSufficientStats, right: LeafSufficientStats) -> LeafSufficientStats:
+    """Statistics of the union of two leaves' residuals."""
+    return LeafSufficientStats(
+        left.n_leaf + right.n_leaf,
+        left.sum_r + right.sum_r,
+        left.sum_r2 + right.sum_r2,
+    )
+
+
+def split_loglik_gain(
+    left: LeafSufficientStats,
+    right: LeafSufficientStats,
+    sigma2: float,
+    sigma_mu2: float,
+) -> float:
+    """Log marginal-likelihood ratio of splitting one leaf into (left, right)
+    versus leaving it whole, from the sampler's node gains. The residual
+    sum-of-squares terms cancel."""
+    g_left, g_right, g_parent = _node_gains(
+        (left.n_leaf, right.n_leaf, left.n_leaf + right.n_leaf),
+        (left.sum_r, right.sum_r, left.sum_r + right.sum_r),
+        sigma2,
+        sigma_mu2,
+    )
+    return g_left + g_right - g_parent

@@ -340,10 +340,12 @@ def recovery_points(snr, methods):
     ]
 
 
+# The grids and criterion 12 fit on two worker processes; seeding makes their
+# rows equal to jobs=1 rows (tests/test_benchmark.py checks this).
 @pytest.fixture(scope="module")
 def grid_snr10():
     rows = run_grid(
-        recovery_points(10.0, [("dart-vc-measure", 5), ("bart-vc-measure", 5)])
+        recovery_points(10.0, [("dart-vc-measure", 5), ("bart-vc-measure", 5)]), jobs=2
     )
     assert all(r.error is None for r in rows)
     return rows
@@ -351,7 +353,9 @@ def grid_snr10():
 
 @pytest.fixture(scope="module")
 def grid_snr20():
-    rows = run_grid(recovery_points(20.0, [("dart-vc-measure", 5), ("dart-mpm", None)]))
+    rows = run_grid(
+        recovery_points(20.0, [("dart-vc-measure", 5), ("dart-mpm", None)]), jobs=2
+    )
     assert all(r.error is None for r in rows)
     return rows
 
@@ -447,6 +451,7 @@ def test_criterion_12_pure_noise_gmax_control():
                 l_perm=20,
                 alpha=0.05,
                 seed=seed,
+                jobs=2,
             ),
         )
         empty += not result.selection.selected

@@ -2,7 +2,10 @@
 and the command-line interface built on them."""
 
 import dataclasses
+import importlib
 import json
+import pkgutil
+import re
 import subprocess
 import sys
 
@@ -12,6 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import random_trace
+import bartsel
 from bartsel.benchmark import GridPoint, GridRowResult, compute_metrics
 from bartsel.cli import _jobs_value, main
 from bartsel.data import DataError, FitConfig, validate_dataset
@@ -145,6 +149,29 @@ class TestTraceFile:
         path = self.write_valid(tmp_path)
         path.write_bytes(path.read_bytes() + b"\x00\x00")
         with pytest.raises(TraceFormatError, match="trailing bytes"):
+            read_trace(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda header: {}, "header lacks n_kept, p, n_trees"),
+            (lambda header: {**header, "n_kept": "a"}, "n_kept must be an integer >= 0, got 'a'"),
+            (lambda header: list(header), "header is not a JSON object"),
+            (lambda header: {**header, "n_kept": -1}, "n_kept must be an integer >= 0, got -1"),
+            (lambda header: {**header, "seed": None}, "seed must be an integer, got None"),
+            (lambda header: {**header, "has_mi": True}, "mi_sizes must be a list of integers >= 0"),
+        ],
+    )
+    def test_malformed_header_named(self, tmp_path, edit, message):
+        path = self.write_valid(tmp_path)
+        buf = path.read_bytes()
+        header_len = int.from_bytes(buf[5:9], "little")
+        header = edit(json.loads(buf[9 : 9 + header_len]))
+        header_bytes = json.dumps(header).encode("utf-8")
+        path.write_bytes(
+            buf[:5] + len(header_bytes).to_bytes(4, "little") + header_bytes + buf[9 + header_len :]
+        )
+        with pytest.raises(TraceFormatError, match=re.escape(message)):
             read_trace(path)
 
     def test_inconsistent_inclusion(self, tmp_path):
@@ -821,6 +848,16 @@ class TestConsoleScript:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize(
+        "module", ["bartsel"] + [f"bartsel.{m.name}" for m in pkgutil.iter_modules(bartsel.__path__)]
+    )
+    def test_public_names_resolve_once(self, module):
+        # a stale __all__ entry makes ``from <module> import *`` raise
+        mod = importlib.import_module(module)
+        names = getattr(mod, "__all__", [])
+        assert len(names) == len(set(names))
+        assert [n for n in names if not hasattr(mod, n)] == []
 
     def test_help_exits_zero(self):
         proc = self.run("--help")

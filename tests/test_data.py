@@ -1,4 +1,4 @@
-"""Trees, datasets, routing, and config validation."""
+"""Trees, datasets, cutpoint grids, and config validation."""
 
 from __future__ import annotations
 
@@ -9,24 +9,10 @@ from bartsel import (
     CutpointGrid,
     DataError,
     DecisionTree,
-    EnsembleState,
     FitConfig,
-    predict_ensemble,
-    predict_tree,
     validate_dataset,
 )
 from oracles import tree_internals, tree_leaves, tree_live, tree_prunables
-
-
-def predict_by_descent(tree: DecisionTree, x: np.ndarray) -> float:
-    """Independent recursive path-following oracle."""
-    i = tree.root
-    while tree.feature[i] >= 0:
-        if x[tree.feature[i]] <= tree.cutpoint[i]:
-            i = tree.left[i]
-        else:
-            i = tree.right[i]
-    return tree.value[i]
 
 
 def grow_random_tree(rng: np.random.Generator, p: int, n_splits: int) -> DecisionTree:
@@ -101,73 +87,6 @@ class TestCutpointGrid:
     def test_constant_column_has_single_cutpoint(self):
         grid = CutpointGrid.from_matrix(np.ones((4, 1)))
         assert grid.size(0) == 1
-
-
-class TestPredictTree:
-    def test_single_leaf_returns_value(self):
-        tree = DecisionTree.stump(0.0)
-        x = np.array([[3.2, -1.0]])
-        assert predict_tree(tree, x)[0] == 0.0
-
-    def test_stump_rule_semantics(self):
-        tree = DecisionTree.stump(0.0)
-        l, r = tree.split_leaf(tree.root, 0, 2.0)
-        tree.value[l] = -1.0
-        tree.value[r] = 1.0
-        X = np.array([[1.5, 0.0], [2.0, 0.0], [2.5, 0.0]])
-        # boundary goes left: x_j <= c
-        assert np.array_equal(predict_tree(tree, X), [-1.0, -1.0, 1.0])
-
-    def test_matches_recursive_descent_oracle(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            tree = grow_random_tree(rng, p=4, n_splits=int(rng.integers(1, 8)))
-            X = rng.uniform(-1.0, 1.0, size=(10, 4))
-            got = predict_tree(tree, X)
-            want = [predict_by_descent(tree, x) for x in X]
-            np.testing.assert_allclose(got, want, rtol=0, atol=0)
-
-    def test_routing_reaches_exactly_one_leaf(self):
-        rng = np.random.default_rng(3)
-        tree = grow_random_tree(rng, p=3, n_splits=5)
-        X = rng.uniform(-1.0, 1.0, size=(50, 3))
-        assign = [tree.route(x) for x in X]
-        leaves = set(tree.leaf_ids())
-        assert all(i in leaves for i in assign)
-        total = sum(assign.count(i) for i in leaves)
-        assert total == 50
-
-
-class TestPredictEnsemble:
-    def test_sum_of_constant_trees(self):
-        trees = [DecisionTree.stump(v) for v in (1.0, 2.0, 3.0)]
-        state = EnsembleState(trees=trees, sigma2=1.0)
-        assert predict_ensemble(state, np.zeros((1, 2)))[0] == 6.0
-
-    def test_single_tree_reduces_to_predict_tree(self):
-        rng = np.random.default_rng(1)
-        tree = grow_random_tree(rng, p=2, n_splits=3)
-        X = rng.uniform(-1.0, 1.0, size=(8, 2))
-        state = EnsembleState(trees=[tree], sigma2=1.0)
-        np.testing.assert_array_equal(predict_ensemble(state, X), predict_tree(tree, X))
-
-    def test_matches_per_tree_oracle_sum(self):
-        rng = np.random.default_rng(5)
-        trees = [grow_random_tree(rng, p=3, n_splits=int(rng.integers(1, 6))) for _ in range(5)]
-        X = rng.uniform(-1.0, 1.0, size=(12, 3))
-        state = EnsembleState(trees=trees, sigma2=1.0)
-        want = np.sum([predict_tree(t, X) for t in trees], axis=0)
-        np.testing.assert_allclose(predict_ensemble(state, X), want, atol=1e-12)
-
-    def test_linear_in_leaf_values(self):
-        rng = np.random.default_rng(9)
-        tree = grow_random_tree(rng, p=2, n_splits=4)
-        X = rng.uniform(-1.0, 1.0, size=(6, 2))
-        base = predict_tree(tree, X)
-        doubled = tree.copy()
-        for i in doubled.leaf_ids():
-            doubled.value[i] *= 2.0
-        np.testing.assert_array_equal(predict_tree(doubled, X), 2.0 * base)
 
 
 class TestTreeArena:

@@ -21,7 +21,6 @@ from bartsel import (
     FitConfig,
     LeafSufficientStats,
     RuleExhaustedError,
-    TreePriors,
     calibrate_lambda,
     fit,
     leaf_posterior,
@@ -30,13 +29,12 @@ from bartsel import (
     sample_leaf_value,
     sample_sigma2,
     sigma2_posterior,
-    split_loglik_gain,
     update_split_probs,
     validate_dataset,
     vip,
 )
 from bartsel.sampler import FitError, _alpha_grid, _pick, birth_log_ratio, death_log_ratio
-from oracles import MaskScanSampler, alpha_log_weights, routed_rows
+from oracles import MaskScanSampler, alpha_log_weights, merged, routed_rows, split_loglik_gain
 
 
 class TestPSplit:
@@ -217,7 +215,7 @@ class TestSplitGain:
             r_r = rng.normal(scale=2.0, size=n_r)
             left = LeafSufficientStats(n_l, float(r_l.sum()), float((r_l**2).sum()))
             right = LeafSufficientStats(n_r, float(r_r.sum()), float((r_r**2).sum()))
-            parent = left.merged(right)
+            parent = merged(left, right)
             sigma2 = float(rng.uniform(0.1, 3.0))
             sigma_mu2 = float(rng.uniform(0.01, 1.0))
             want = (
@@ -252,7 +250,7 @@ class TestSplitGain:
             lambda ml, mr: lik(left, ml) * lik(right, mr) * prior(ml) * prior(mr),
             -5, 5, -5, 5, epsabs=1e-13, epsrel=1e-10,
         )
-        parent = left.merged(right)
+        parent = merged(left, right)
         den, _ = integrate.quad(
             lambda mu: lik(parent, mu) * prior(mu), -5, 5, epsabs=1e-13, epsrel=1e-10
         )
@@ -267,7 +265,8 @@ def build_two_leaf_tree() -> DecisionTree:
 
 
 class TestMHRatios:
-    PRIORS = TreePriors(sigma_mu2=0.1)
+    SIGMA_MU2 = 0.1
+    CONFIG = FitConfig()
 
     def test_birth_then_death_is_exact_reciprocal(self):
         rng = np.random.default_rng(8)
@@ -288,9 +287,9 @@ class TestMHRatios:
             left = rand_stats()
             right = rand_stats()
             sigma2 = float(rng.uniform(0.2, 2.0))
-            log_birth = birth_log_ratio(tree, node, left, right, sigma2, self.PRIORS)
+            log_birth = birth_log_ratio(tree, node, left, right, sigma2, self.SIGMA_MU2, self.CONFIG)
             tree.split_leaf(node, 1, 0.0)
-            log_death = death_log_ratio(tree, node, left, right, sigma2, self.PRIORS)
+            log_death = death_log_ratio(tree, node, left, right, sigma2, self.SIGMA_MU2, self.CONFIG)
             assert log_death == pytest.approx(-log_birth, abs=1e-12)
 
     def test_depth_zero_prior_factor(self):
@@ -298,8 +297,8 @@ class TestMHRatios:
         tree = DecisionTree.stump(0.0)
         left = LeafSufficientStats(1, 0.0)
         right = LeafSufficientStats(1, 0.0)
-        priors = TreePriors(sigma_mu2=0.1, gamma=0.95, beta=2.0)
-        log_r = birth_log_ratio(tree, tree.root, left, right, 1.0, priors)
+        config = FitConfig(gamma=0.95, beta=2.0)
+        log_r = birth_log_ratio(tree, tree.root, left, right, 1.0, 0.1, config)
         prior_want = math.log(0.95) + 2.0 * math.log(1.0 - 0.2375) - math.log(0.05)
         # kernel: p_death/p_birth * (1 leaf) / (1 prunable after)
         kernel_want = 0.0
@@ -315,7 +314,8 @@ class TestMHRatios:
                 LeafSufficientStats(0, 0.0),
                 LeafSufficientStats(3, 1.0, 1.0),
                 1.0,
-                self.PRIORS,
+                self.SIGMA_MU2,
+                self.CONFIG,
             )
 
     def test_birth_on_internal_node_rejected(self):
@@ -323,7 +323,7 @@ class TestMHRatios:
         with pytest.raises(ValueError, match="leaf"):
             birth_log_ratio(
                 tree, tree.root, LeafSufficientStats(1, 0.0), LeafSufficientStats(1, 0.0),
-                1.0, self.PRIORS,
+                1.0, self.SIGMA_MU2, self.CONFIG,
             )
 
     def test_death_on_non_prunable_rejected(self):
@@ -333,7 +333,7 @@ class TestMHRatios:
         with pytest.raises(ValueError, match="prunable"):
             death_log_ratio(
                 tree, tree.root, LeafSufficientStats(1, 0.0), LeafSufficientStats(1, 0.0),
-                1.0, self.PRIORS,
+                1.0, self.SIGMA_MU2, self.CONFIG,
             )
 
     def test_stats_cauchy_schwarz_guard(self):
