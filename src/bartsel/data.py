@@ -13,7 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -134,10 +134,6 @@ class CutpointGrid:
             g.flags.writeable = False
             cols.append(g)
         return cls(grids=tuple(cols))
-
-    @property
-    def p(self) -> int:
-        return len(self.grids)
 
     def size(self, j: int) -> int:
         return self.grids[j].size
@@ -447,26 +443,16 @@ class PosteriorTrace:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PosteriorTrace):
             return NotImplemented
-
-        def arr_eq(a, b):
+        for f in fields(self):
+            a, b = getattr(self, f.name), getattr(other, f.name)
             if a is None or b is None:
-                return (a is None) == (b is None)
-            return a.shape == b.shape and bool(np.array_equal(a, b))
-
-        def list_eq(a, b):
-            if a is None or b is None:
-                return (a is None) == (b is None)
-            return len(a) == len(b) and all(np.array_equal(u, v) for u, v in zip(a, b))
-
-        return (
-            arr_eq(self.counts, other.counts)
-            and arr_eq(self.sigma2_path, other.sigma2_path)
-            and arr_eq(self.insample_mean_path, other.insample_mean_path)
-            and arr_eq(self.leaf_counts, other.leaf_counts)
-            and self.seed == other.seed
-            and self.config_echo == other.config_echo
-            and list_eq(self.mi_features, other.mi_features)
-            and list_eq(self.mi_probs, other.mi_probs)
-            and arr_eq(self.alpha_path, other.alpha_path)
-            and arr_eq(self.s_path, other.s_path)
-        )
+                same = a is b
+            elif isinstance(a, np.ndarray):
+                same = np.array_equal(a, b)  # False on a shape mismatch
+            elif isinstance(a, list):
+                same = len(a) == len(b) and all(np.array_equal(u, v) for u, v in zip(a, b))
+            else:
+                same = a == b
+            if not same:
+                return False
+        return True

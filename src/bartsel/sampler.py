@@ -50,7 +50,6 @@ from .data import (
 )
 
 __all__ = [
-    "RuleExhaustedError",
     "FitError",
     "LeafSufficientStats",
     "p_split",
@@ -59,17 +58,11 @@ __all__ = [
     "sigma2_posterior",
     "sample_sigma2",
     "calibrate_lambda",
-    "birth_log_ratio",
-    "death_log_ratio",
     "update_split_probs",
     "sample_alpha",
     "EnsembleSampler",
     "fit",
 ]
-
-class RuleExhaustedError(RuntimeError):
-    """No valid split rule exists for the node; the caller terminates it."""
-
 
 class FitError(RuntimeError):
     """Raised when a fit aborts (non-finite likelihood ratio or similar)."""
@@ -233,70 +226,6 @@ def _birth_log_ratio(
     )
 
 
-def birth_log_ratio(
-    tree: DecisionTree,
-    node: int,
-    left: LeafSufficientStats,
-    right: LeafSufficientStats,
-    sigma2: float,
-    sigma_mu2: float,
-    config: FitConfig,
-) -> float:
-    """Log MH ratio for splitting leaf ``node`` into children with the given
-    residual statistics: transition-kernel ratio x tree-prior ratio x
-    marginal-likelihood ratio. ``sigma2`` and ``sigma_mu2`` are the noise and
-    leaf-value variances; ``config`` supplies the move mix (``p_birth``,
-    ``p_death``) and the depth prior (``gamma``, ``beta``)."""
-    if not tree.is_leaf(node):
-        raise ValueError(f"node {node} is not a leaf")
-    if left.n_leaf == 0 or right.n_leaf == 0:
-        raise RuleExhaustedError("proposed rule routes no observations to one child")
-    return _birth_log_ratio(
-        tree.n_leaves(),
-        _prunable_after_birth(tree, node),
-        tree.depth(node),
-        left.n_leaf,
-        left.sum_r,
-        right.n_leaf,
-        right.sum_r,
-        left.sum_r + right.sum_r,
-        sigma2,
-        sigma_mu2,
-        config,
-    )
-
-
-def death_log_ratio(
-    tree: DecisionTree,
-    node: int,
-    left: LeafSufficientStats,
-    right: LeafSufficientStats,
-    sigma2: float,
-    sigma_mu2: float,
-    config: FitConfig,
-) -> float:
-    """Log MH ratio for pruning the prunable node ``node`` whose children hold
-    ``left`` and ``right``: exactly the negated log ratio of the BIRTH that
-    would re-create it. The arguments are those of :func:`birth_log_ratio`."""
-    if tree.is_leaf(node) or not (
-        tree.is_leaf(tree.left[node]) and tree.is_leaf(tree.right[node])
-    ):
-        raise ValueError(f"node {node} is not prunable")
-    return -_birth_log_ratio(
-        tree.n_leaves() - 1,
-        len(tree.prunable_ids()),
-        tree.depth(node),
-        left.n_leaf,
-        left.sum_r,
-        right.n_leaf,
-        right.sum_r,
-        left.sum_r + right.sum_r,
-        sigma2,
-        sigma_mu2,
-        config,
-    )
-
-
 # -- sparse split-probability updates ----------------------------------------
 
 
@@ -392,7 +321,10 @@ def _accept_prob(log_r: float, context: str) -> float:
 
 class EnsembleSampler:
     """Mutable sampler state for one fit. Use :func:`fit` unless a test needs
-    to drive sweeps manually via :meth:`step`."""
+    to drive sweeps manually via :meth:`step`.
+
+    ``counts[j]`` is the number of internal nodes that split on feature j,
+    summed over the whole ensemble; each accepted move updates it."""
 
     def __init__(
         self,
@@ -401,7 +333,6 @@ class EnsembleSampler:
         rng: np.random.Generator | None = None,
     ) -> None:
         config.validate()
-        self.dataset = dataset
         self.config = config
         self.rng = rng if rng is not None else np.random.default_rng(config.seed)
         self.X = np.ascontiguousarray(dataset.X, dtype=np.float64)
@@ -431,7 +362,7 @@ class EnsembleSampler:
         # one array per tree: a leaf redraw replaces its tree's array
         self.tree_pred = [np.zeros(self.n) for _ in range(T)]
         self.resid = self.ysc.copy()
-        self.counts = np.zeros((T, self.p), dtype=np.int64)
+        self.counts = np.zeros(self.p, dtype=np.int64)
 
         self.is_dart = config.prior_kind == "dart"
         self.rho = float(config.dart_rho) if config.dart_rho is not None else float(self.p)
@@ -492,7 +423,7 @@ class EnsembleSampler:
             left_id, right_id = tree.split_leaf(node, j, c)
             tree.accept_prob[node] = prob
             self._split_rows(node_rows, assign_t, rows, go_left, left_id, right_id)
-            self.counts[t, j] += 1
+            self.counts[j] += 1
 
     def _propose_death(self, t: int, tree: DecisionTree, assign_t, r_t) -> None:
         rng = self.rng
@@ -525,7 +456,7 @@ class EnsembleSampler:
             tree.prune(node)
             del node_rows[left_id], node_rows[right_id]
             assign_t[node_rows[node]] = node
-            self.counts[t, j_old] -= 1
+            self.counts[j_old] -= 1
 
     def _propose_change(self, t: int, tree: DecisionTree, assign_t, r_t) -> None:
         rng = self.rng
@@ -560,8 +491,8 @@ class EnsembleSampler:
             j_old = tree.feature[node]
             tree.set_rule(node, j_new, c_new)
             tree.accept_prob[node] = prob
-            self.counts[t, j_old] -= 1
-            self.counts[t, j_new] += 1
+            self.counts[j_old] -= 1
+            self.counts[j_new] += 1
             self._split_rows(node_rows, assign_t, rows, go_left, left_id, right_id)
 
     def _redraw_leaves(self, t: int, tree: DecisionTree, assign_t, r_t) -> None:
@@ -571,14 +502,12 @@ class EnsembleSampler:
         # pairwise np.add.reduce over the leaf's rows would round differently
         sums = np.bincount(assign_t, weights=r_t, minlength=tree.arena_size).tolist()
         z = self.rng.standard_normal(len(ids)).tolist()
-        sigma2 = self.sigma2
-        prior_prec = 1.0 / self.sigma_mu2
+        sigma2, sigma_mu2 = self.sigma2, self.sigma_mu2
         value = tree.value
         for i, z_i in zip(ids, z):
-            # leaf_posterior's v and m, in its order of operations; math.sqrt
-            # is correctly rounded, so it matches np.sqrt bit for bit
-            v = 1.0 / (node_rows[i].size / sigma2 + prior_prec)
-            value[i] = v * sums[i] / sigma2 + math.sqrt(v) * z_i
+            m, v = leaf_posterior(node_rows[i].size, sums[i], sigma2, sigma_mu2)
+            # math.sqrt is correctly rounded, so it matches np.sqrt bit for bit
+            value[i] = m + math.sqrt(v) * z_i
         # assign_t holds leaf ids only, so the other slots' values are never read
         new_pred = np.array(value)[assign_t]
         self.resid += self.tree_pred[t] - new_pred
@@ -607,8 +536,7 @@ class EnsembleSampler:
         sse = float(self.resid @ self.resid)
         self.sigma2 = sample_sigma2(sse, self.n, self.config.nu, self.lam, self.rng)
         if self.is_dart:
-            total = self.counts.sum(axis=0)
-            self.s = update_split_probs(total, self.alpha, self.rng)
+            self.s = update_split_probs(self.counts, self.alpha, self.rng)
             self._s_cdf = np.cumsum(self.s).tolist()
             self.alpha = sample_alpha(
                 self.s,
@@ -645,7 +573,7 @@ class EnsembleSampler:
             if it < cfg.burn_in:
                 continue
             k = it - cfg.burn_in
-            counts_out[k] = self.counts.sum(axis=0)
+            counts_out[k] = self.counts
             sigma2_path[k] = self.sigma2 * self.y_range**2
             yhat_scaled = self.ysc - self.resid
             mean_path[k] = float(yhat_scaled.mean()) * self.y_range + self.y_center

@@ -62,11 +62,6 @@ _SOURCE_KINDS = {
 class ImportanceVector:
     kind: str
     values: np.ndarray
-    fit_id: int | None = None
-
-    @property
-    def p(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -74,7 +69,6 @@ class RankVector:
     """Midranks in descending importance order: rank 1 = most important."""
 
     ranks: np.ndarray
-    fit_id: int | None = None
 
 
 @dataclass(frozen=True)
@@ -87,15 +81,10 @@ class SummaryMatrix:
     """
 
     Z: np.ndarray
-    l_rep: int
     source_kind: str
 
-    @property
-    def p(self) -> int:
-        return self.Z.shape[0]
 
-
-def vip(trace: PosteriorTrace, fit_id: int | None = None) -> ImportanceVector:
+def vip(trace: PosteriorTrace) -> ImportanceVector:
     """Mean per-draw proportion of splitting rules using each feature.
     Draws with no splits at all contribute 0 to every feature."""
     counts = trace.counts.astype(np.float64)
@@ -106,20 +95,20 @@ def vip(trace: PosteriorTrace, fit_id: int | None = None) -> ImportanceVector:
         out=np.zeros_like(counts),
         where=totals[:, None] > 0,
     )
-    return ImportanceVector(KIND_VIP, props.mean(axis=0), fit_id)
+    return ImportanceVector(KIND_VIP, props.mean(axis=0))
 
 
-def vc(trace: PosteriorTrace, fit_id: int | None = None) -> ImportanceVector:
+def vc(trace: PosteriorTrace) -> ImportanceVector:
     """Mean per-draw split count per feature (unnormalized VIP)."""
-    return ImportanceVector(KIND_VC, trace.counts.mean(axis=0).astype(np.float64), fit_id)
+    return ImportanceVector(KIND_VC, trace.counts.mean(axis=0).astype(np.float64))
 
 
-def mpvip(trace: PosteriorTrace, fit_id: int | None = None) -> ImportanceVector:
+def mpvip(trace: PosteriorTrace) -> ImportanceVector:
     """Fraction of draws in which each feature is split on at least once."""
-    return ImportanceVector(KIND_MPVIP, trace.inclusion.mean(axis=0), fit_id)
+    return ImportanceVector(KIND_MPVIP, trace.inclusion.mean(axis=0))
 
 
-def metropolis_importance(trace: PosteriorTrace, fit_id: int | None = None) -> ImportanceVector:
+def metropolis_importance(trace: PosteriorTrace) -> ImportanceVector:
     """Normalized mean Metropolis acceptance probability per feature.
 
     Per draw k: u_jk = mean acceptance tag over interior nodes splitting on
@@ -139,7 +128,7 @@ def metropolis_importance(trace: PosteriorTrace, fit_id: int | None = None) -> I
         total = u.sum()
         if total > 0:
             acc += u / total
-    return ImportanceVector(KIND_MI, acc / trace.n_kept, fit_id)
+    return ImportanceVector(KIND_MI, acc / trace.n_kept)
 
 
 _IMPORTANCE = {KIND_VIP: vip, KIND_VC: vc, KIND_MPVIP: mpvip, KIND_MI: metropolis_importance}
@@ -152,7 +141,7 @@ def importance(trace: PosteriorTrace, kind: str) -> np.ndarray:
     return _IMPORTANCE[kind](trace).values
 
 
-def rank_descending(values: np.ndarray, fit_id: int | None = None) -> RankVector:
+def rank_descending(values: np.ndarray) -> RankVector:
     """Midranks with rank 1 for the largest value; ties get averaged ranks.
 
     Equal to scipy's ``rankdata(-values)``: each tie group holds the
@@ -171,7 +160,7 @@ def rank_descending(values: np.ndarray, fit_id: int | None = None) -> RankVector
     bounds = np.append(np.flatnonzero(tie_start), values.size)
     ranks = np.empty(values.size)
     ranks[order] = 0.5 * (bounds[dense] + bounds[dense - 1] + 1)
-    return RankVector(ranks, fit_id)
+    return RankVector(ranks)
 
 
 def build_summary_matrix(traces: list[PosteriorTrace], source_kind: str) -> SummaryMatrix:
@@ -202,4 +191,4 @@ def build_summary_matrix(traces: list[PosteriorTrace], source_kind: str) -> Summ
                 np.quantile(ranks, 0.75, axis=0),
             ]
         )
-    return SummaryMatrix(Z=Z, l_rep=len(traces), source_kind=source_kind)
+    return SummaryMatrix(Z=Z, source_kind=source_kind)

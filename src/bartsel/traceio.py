@@ -106,12 +106,16 @@ def read_dataset_csv(path, response: str = "y") -> Dataset:
             parsed: list[float] = []
             for name, cell in zip(header, row):
                 try:
-                    parsed.append(float(cell))
+                    value = float(cell)
+                    problem = None if math.isfinite(value) else "non-finite"
                 except ValueError:
+                    problem = "non-numeric"
+                if problem:
                     raise DataError(
                         f"{path}: line {line_no}, column {name!r}: "
-                        f"non-numeric value {cell.strip()!r}"
-                    ) from None
+                        f"{problem} value {cell.strip()!r}"
+                    )
+                parsed.append(value)
             y_vals.append(parsed[y_idx])
             rows.append([v for i, v in enumerate(parsed) if i != y_idx])
         if not rows:

@@ -301,7 +301,7 @@ class MaskScanSampler(EnsembleSampler):
             tree.accept_prob[node] = prob
             assign_t[rows[go_left]] = left_id
             assign_t[rows[~go_left]] = right_id
-            self.counts[t, j] += 1
+            self.counts[j] += 1
 
     def _propose_death(self, t, tree, assign_t, r_t) -> None:
         rng = self.rng
@@ -327,7 +327,7 @@ class MaskScanSampler(EnsembleSampler):
             j_old = tree.feature[node]
             tree.prune(node)
             assign_t[mask_left | mask_right] = node
-            self.counts[t, j_old] -= 1
+            self.counts[j_old] -= 1
 
     def _propose_change(self, t, tree, assign_t, r_t) -> None:
         rng = self.rng
@@ -360,8 +360,8 @@ class MaskScanSampler(EnsembleSampler):
             j_old = tree.feature[node]
             tree.set_rule(node, j_new, c_new)
             tree.accept_prob[node] = prob
-            self.counts[t, j_old] -= 1
-            self.counts[t, j_new] += 1
+            self.counts[j_old] -= 1
+            self.counts[j_new] += 1
             assign_t[rows[go_left]] = left_id
             assign_t[rows[~go_left]] = right_id
 

@@ -4,6 +4,7 @@ and the command-line interface built on them."""
 import dataclasses
 import importlib
 import json
+import os
 import pkgutil
 import re
 import subprocess
@@ -218,6 +219,18 @@ class TestReadDatasetCsv:
     def test_non_numeric_cell_names_line_and_column(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["y", "a"], [[1, 2], ["oops", 3]])
         with pytest.raises(DataError, match="line 3, column 'y'"):
+            read_dataset_csv(path)
+
+    @pytest.mark.parametrize(
+        "rows, where",
+        [
+            ([[3, 1, 2], [6, 4, "nan"]], "line 3, column 'x2': non-finite value 'nan'"),
+            ([["inf", 1, 2], [6, 4, 5]], "line 2, column 'y': non-finite value 'inf'"),
+        ],
+    )
+    def test_non_finite_cell_names_line_and_column(self, tmp_path, rows, where):
+        path = write_csv(tmp_path / "d.csv", ["y", "x1", "x2"], rows)
+        with pytest.raises(DataError, match=re.escape(where)):
             read_dataset_csv(path)
 
     def test_wrong_field_count(self, tmp_path):
@@ -829,11 +842,18 @@ class TestJobsValue:
 
 
 class TestConsoleScript:
+    # the subprocesses import the same bartsel as this process, installed or not
+    ENV = dict(os.environ)
+    ENV["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.dirname(os.path.dirname(bartsel.__file__)), ENV.get("PYTHONPATH")])
+    )
+
     def run(self, *args):
         return subprocess.run(
             [sys.executable, "-m", "bartsel.cli", *args],
             capture_output=True,
             text=True,
+            env=self.ENV,
         )
 
     def test_import_leaves_out_scipy_stats(self):
@@ -845,7 +865,7 @@ class TestConsoleScript:
             "if m == 'scipy.stats' or m.startswith('scipy.stats.')))"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=self.ENV
         )
         assert proc.stdout.strip() == "[]"
 

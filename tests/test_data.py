@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from bartsel import (
     DataError,
     DecisionTree,
     FitConfig,
+    PosteriorTrace,
     validate_dataset,
 )
 from oracles import tree_internals, tree_leaves, tree_live, tree_prunables
@@ -87,6 +91,57 @@ class TestCutpointGrid:
     def test_constant_column_has_single_cutpoint(self):
         grid = CutpointGrid.from_matrix(np.ones((4, 1)))
         assert grid.size(0) == 1
+
+
+def full_trace() -> PosteriorTrace:
+    """A two-draw trace with every optional field present."""
+    return PosteriorTrace(
+        counts=np.array([[1, 0, 2], [0, 1, 1]]),
+        sigma2_path=np.array([0.5, 0.25]),
+        insample_mean_path=np.array([1.0, 1.5]),
+        leaf_counts=np.array([[2, 3], [3, 2]], dtype=np.int32),
+        seed=7,
+        config_echo={"n_trees": 2},
+        mi_features=[np.array([0, 2, 2]), np.array([1, 2])],
+        mi_probs=[np.array([1.0, 0.5, 0.25]), np.array([0.75, 1.0])],
+        alpha_path=np.array([3.0, 2.5]),
+        s_path=np.array([[0.2, 0.3, 0.5], [0.1, 0.1, 0.8]]),
+    )
+
+
+def altered_values(value) -> list:
+    """Values that differ from ``value`` in one element, in shape or length."""
+    if isinstance(value, np.ndarray):
+        bumped = value.copy()
+        bumped.flat[0] += 1
+        return [bumped, value.reshape(-1, 1)]
+    if isinstance(value, list):
+        bumped = [a.copy() for a in value]
+        bumped[-1].flat[0] += 1
+        return [bumped, value[:-1]]
+    if isinstance(value, dict):
+        return [{**value, "n_trees": 3}]
+    return [value + 1]
+
+
+class TestPosteriorTraceEquality:
+    def test_deep_copy_is_equal(self):
+        assert full_trace() == copy.deepcopy(full_trace())
+        bare = dataclasses.replace(
+            full_trace(), mi_features=None, mi_probs=None, alpha_path=None, s_path=None
+        )
+        assert bare == copy.deepcopy(bare)
+        assert bare != full_trace() and full_trace() != bare
+
+    @pytest.mark.parametrize("field", dataclasses.fields(PosteriorTrace), ids=lambda f: f.name)
+    def test_each_field_is_compared(self, field):
+        trace = full_trace()
+        others = altered_values(getattr(trace, field.name))
+        if field.default is None:  # optional: present vs absent differs too
+            others.append(None)
+        for value in others:
+            other = dataclasses.replace(trace, **{field.name: value})
+            assert trace != other and other != trace
 
 
 class TestTreeArena:

@@ -16,11 +16,9 @@ import pytest
 from scipy import integrate, stats
 
 from bartsel import (
-    DecisionTree,
     EnsembleSampler,
     FitConfig,
     LeafSufficientStats,
-    RuleExhaustedError,
     calibrate_lambda,
     fit,
     leaf_posterior,
@@ -33,7 +31,7 @@ from bartsel import (
     validate_dataset,
     vip,
 )
-from bartsel.sampler import FitError, _alpha_grid, _pick, birth_log_ratio, death_log_ratio
+from bartsel.sampler import FitError, _alpha_grid, _birth_log_ratio, _pick
 from oracles import MaskScanSampler, alpha_log_weights, merged, routed_rows, split_loglik_gain
 
 
@@ -258,83 +256,19 @@ class TestSplitGain:
         assert got == pytest.approx(num / den, rel=1e-6)
 
 
-def build_two_leaf_tree() -> DecisionTree:
-    tree = DecisionTree.stump(0.0)
-    tree.split_leaf(tree.root, 0, 0.5)
-    return tree
-
-
 class TestMHRatios:
-    SIGMA_MU2 = 0.1
-    CONFIG = FitConfig()
-
-    def test_birth_then_death_is_exact_reciprocal(self):
-        rng = np.random.default_rng(8)
-        for _ in range(50):
-            # random tree, random leaf, random child stats
-            tree = DecisionTree.stump(0.0)
-            for _ in range(int(rng.integers(0, 4))):
-                leaves = tree.leaf_ids()
-                tree.split_leaf(int(leaves[rng.integers(len(leaves))]), 0, float(rng.normal()))
-            leaves = tree.leaf_ids()
-            node = int(leaves[rng.integers(len(leaves))])
-
-            def rand_stats():
-                n = int(rng.integers(1, 10))
-                sum_r = float(rng.normal())
-                return LeafSufficientStats(n, sum_r, sum_r**2 / n + float(rng.uniform(0, 2)))
-
-            left = rand_stats()
-            right = rand_stats()
-            sigma2 = float(rng.uniform(0.2, 2.0))
-            log_birth = birth_log_ratio(tree, node, left, right, sigma2, self.SIGMA_MU2, self.CONFIG)
-            tree.split_leaf(node, 1, 0.0)
-            log_death = death_log_ratio(tree, node, left, right, sigma2, self.SIGMA_MU2, self.CONFIG)
-            assert log_death == pytest.approx(-log_birth, abs=1e-12)
-
     def test_depth_zero_prior_factor(self):
         # split of the root: prior factor p_split(0) * (1-p_split(1))^2 / (1-p_split(0))
-        tree = DecisionTree.stump(0.0)
         left = LeafSufficientStats(1, 0.0)
         right = LeafSufficientStats(1, 0.0)
         config = FitConfig(gamma=0.95, beta=2.0)
-        log_r = birth_log_ratio(tree, tree.root, left, right, 1.0, 0.1, config)
+        # 1 leaf before, 1 prunable after, depth 0, one row per child
+        log_r = _birth_log_ratio(1, 1, 0, 1, 0.0, 1, 0.0, 0.0, 1.0, 0.1, config)
         prior_want = math.log(0.95) + 2.0 * math.log(1.0 - 0.2375) - math.log(0.05)
         # kernel: p_death/p_birth * (1 leaf) / (1 prunable after)
         kernel_want = 0.0
         gain_want = split_loglik_gain(left, right, 1.0, 0.1)
         assert log_r == pytest.approx(prior_want + kernel_want + gain_want, abs=1e-12)
-
-    def test_empty_child_signals_exhausted(self):
-        tree = DecisionTree.stump(0.0)
-        with pytest.raises(RuleExhaustedError):
-            birth_log_ratio(
-                tree,
-                tree.root,
-                LeafSufficientStats(0, 0.0),
-                LeafSufficientStats(3, 1.0, 1.0),
-                1.0,
-                self.SIGMA_MU2,
-                self.CONFIG,
-            )
-
-    def test_birth_on_internal_node_rejected(self):
-        tree = build_two_leaf_tree()
-        with pytest.raises(ValueError, match="leaf"):
-            birth_log_ratio(
-                tree, tree.root, LeafSufficientStats(1, 0.0), LeafSufficientStats(1, 0.0),
-                1.0, self.SIGMA_MU2, self.CONFIG,
-            )
-
-    def test_death_on_non_prunable_rejected(self):
-        tree = build_two_leaf_tree()
-        left = tree.left[tree.root]
-        tree.split_leaf(left, 0, 0.0)
-        with pytest.raises(ValueError, match="prunable"):
-            death_log_ratio(
-                tree, tree.root, LeafSufficientStats(1, 0.0), LeafSufficientStats(1, 0.0),
-                1.0, self.SIGMA_MU2, self.CONFIG,
-            )
 
     def test_stats_cauchy_schwarz_guard(self):
         with pytest.raises(ValueError, match="Cauchy-Schwarz"):
@@ -518,8 +452,9 @@ class TestSamplerSweeps:
                 assert len(tree.internal_ids()) == before
                 checked["change"] += 1
             tree.validate()
-            # counts row stays consistent with the tree it describes
-            assert np.array_equal(sampler.counts[t], tree.split_counts(sampler.p))
+            # the ensemble counts stay the sum of the trees' split counts
+            want_counts = sum(tr.split_counts(sampler.p) for tr in sampler.trees)
+            assert np.array_equal(sampler.counts, want_counts)
             # every live node keeps exactly the rows routed through it
             want = routed_rows(tree, ds.X)
             got = sampler.node_rows[t]
@@ -593,7 +528,7 @@ class TestSamplerSweeps:
         for _ in range(200):
             for t in range(3):
                 sampler._update_tree(t)
-        used = np.flatnonzero(sampler.counts.sum(axis=0))
+        used = np.flatnonzero(sampler.counts)
         assert used.tolist() in ([], [2])
         assert sampler.counts.sum() > 0  # something was accepted
 

@@ -162,30 +162,30 @@ class TestClusterSelect:
 
 class TestMpmSelect:
     def test_boundary_inclusive_at_half(self):
-        result = mpm_select(ImportanceVector(KIND_MPVIP, np.array([1.0, 0.5, 0.49]), 0))
+        result = mpm_select(ImportanceVector(KIND_MPVIP, np.array([1.0, 0.5, 0.49])))
         assert result.selected == {1, 2}
 
     def test_all_zero_is_empty_selection(self):
-        result = mpm_select(ImportanceVector(KIND_MPVIP, np.zeros(3), 0))
+        result = mpm_select(ImportanceVector(KIND_MPVIP, np.zeros(3)))
         assert result.selected == frozenset()
         assert result.no_selection
 
     def test_all_one_selects_everything(self):
-        result = mpm_select(ImportanceVector(KIND_MPVIP, np.ones(4), 0))
+        result = mpm_select(ImportanceVector(KIND_MPVIP, np.ones(4)))
         assert result.selected == {1, 2, 3, 4}
 
     def test_monotone_in_each_coordinate(self):
         rng = np.random.default_rng(4)
         base = rng.random(5)
-        sel = mpm_select(ImportanceVector(KIND_MPVIP, base, 0)).selected
+        sel = mpm_select(ImportanceVector(KIND_MPVIP, base)).selected
         raised = base.copy()
         raised[2] = min(1.0, raised[2] + 0.4)
-        sel2 = mpm_select(ImportanceVector(KIND_MPVIP, raised, 0)).selected
+        sel2 = mpm_select(ImportanceVector(KIND_MPVIP, raised)).selected
         assert sel - {3} <= sel2
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            mpm_select(ImportanceVector(KIND_MPVIP, np.array([1.2]), 0))
+            mpm_select(ImportanceVector(KIND_MPVIP, np.array([1.2])))
 
 
 def tiny_dataset(seed: int = 0, n: int = 40, p: int = 3):
