@@ -135,9 +135,6 @@ class CutpointGrid:
             cols.append(g)
         return cls(grids=tuple(cols))
 
-    def size(self, j: int) -> int:
-        return self.grids[j].size
-
 
 _NO_NODE = -1
 # ``feature`` tag of an arena slot on the free list, so every structure query
@@ -298,13 +295,6 @@ class DecisionTree:
         self.cutpoint[i] = float(c)
 
     # -- whole-tree views -----------------------------------------------------
-
-    def split_counts(self, p: int) -> np.ndarray:
-        """Number of internal nodes splitting on each feature, shape (p,)."""
-        out = np.zeros(p, dtype=np.int64)
-        for i in self.internal_ids():
-            out[self.feature[i]] += 1
-        return out
 
     def copy(self) -> "DecisionTree":
         t = DecisionTree.__new__(DecisionTree)

@@ -13,7 +13,10 @@ Seed scheme: a run seed expands to per-fit seeds seed + fit_index
 prefix of the replicate fits is reproducible independently. ``run_method``
 can therefore keep replicate fits and null rows in a per-dataset cache and
 grow them by the missing rows only; a grown cache is bit-identical to a
-fresh run.
+fresh run. The MI log only reads the trees after each kept draw and draws
+no random number, so it leaves the chain unchanged: the cache keys a chain
+by its fit configuration without ``track_mi``, and MI and VIP methods
+share their replicate and permutation fits.
 """
 
 from __future__ import annotations
@@ -217,13 +220,23 @@ def select_with_method(
     return mpm_select(ImportanceVector(KIND_MPVIP, pi_hat)), None
 
 
-def _grow(cache: dict, key, count: int, compute) -> list:
-    """The first ``count`` rows cached under ``key``; ``compute(start, count)``
-    makes the missing rows start .. count - 1."""
-    rows = cache.setdefault(key, [])
-    if len(rows) < count:
-        rows.extend(compute(len(rows), count))
+def _grow(rows: list, count: int, needs_mi: bool, has_mi, compute) -> list:
+    """The first ``count`` of the cached ``rows``; ``compute(start, count)``
+    makes rows start .. count - 1. When the MI log is needed, the rows from
+    the first one without it (``has_mi(row)`` false) are made again and
+    replaced."""
+    start = len(rows)
+    if needs_mi:
+        start = next((i for i, row in enumerate(rows) if not has_mi(row)), start)
+    if start < count:
+        rows[start:count] = compute(start, count)
     return rows[:count]
+
+
+def _null_rows(dataset, fit_cfg, seed, kinds, start, stop, pool) -> list[dict]:
+    """Null rows start .. stop - 1, each a {kind: row} dict read from one fit."""
+    nulls = permutation_null(dataset, kinds, stop, fit_cfg, seed, jobs=pool, start=start)
+    return [dict(zip(kinds, rows)) for rows in zip(*nulls)]
 
 
 def run_method(
@@ -235,9 +248,12 @@ def run_method(
     """Fit, summarize, and select end to end for one dataset.
 
     ``cache``, if given, belongs to this dataset: it keeps the replicate fits
-    (keyed by the method's fit configuration and seed) and the null rows
-    (also by importance kind) across calls, and each call computes only the
-    rows it lacks.
+    and the null rows across calls, and each call computes only the rows it
+    lacks. Both are keyed by the chain: the method's fit configuration
+    without ``track_mi``, and the seed. The MI log leaves a chain unchanged,
+    so MI and VIP points share fits. A fit with the log serves a request
+    without it; a request with it refits the cached fits that lack it and
+    replaces them. A null fit with the log fills both the VIP and the MI row.
 
     The replicate and the null fits share one pool of ``config.jobs``
     workers, shut down before this returns. ``workers``, an open holder the
@@ -250,29 +266,34 @@ def run_method(
     spec = METHOD_SPECS[config.method]
     l_rep = resolve_l_rep(config.method, config.l_rep)
     fit_cfg = config.fit_config()
+    needs_mi = fit_cfg.track_mi
+    chain = (replace(fit_cfg, track_mi=False), config.seed)
     cache = {} if cache is None else cache
     t0 = time.perf_counter()
     null = None
     perm_seeds: list[int] = []
     with Workers.borrow(config.jobs if workers is None else workers) as pool:
         traces = _grow(
-            cache,
-            (fit_cfg, config.seed),
+            cache.setdefault(chain, []),
             l_rep,
+            needs_mi,
+            lambda trace: trace.mi_features is not None,
             lambda start, stop: fit_replicates(
                 dataset, fit_cfg, config.seed, stop, jobs=pool, start=start
             ),
         )
         if spec.needs_null:
+            kinds = (KIND_VIP, KIND_MI) if needs_mi else (spec.perm_kind,)
             rows = _grow(
-                cache,
-                (fit_cfg, config.seed, spec.perm_kind),
+                cache.setdefault((*chain, "null"), []),
                 config.l_perm,
-                lambda start, stop: permutation_null(
-                    dataset, spec.perm_kind, stop, fit_cfg, config.seed, jobs=pool, start=start
+                needs_mi,
+                lambda row: KIND_MI in row,
+                lambda start, stop: _null_rows(
+                    dataset, fit_cfg, config.seed, kinds, start, stop, pool
                 ),
             )
-            null = np.stack(rows)
+            null = np.stack([row[spec.perm_kind] for row in rows])
             perm_seeds = [
                 config.seed + PERMUTATION_SEED_OFFSET + ell for ell in range(1, config.l_perm + 1)
             ]

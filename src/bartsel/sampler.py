@@ -36,7 +36,7 @@ import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 from scipy.special import gammaincinv, gammaln
@@ -51,10 +51,8 @@ from .data import (
 
 __all__ = [
     "FitError",
-    "LeafSufficientStats",
     "p_split",
     "leaf_posterior",
-    "sample_leaf_value",
     "sigma2_posterior",
     "sample_sigma2",
     "calibrate_lambda",
@@ -74,21 +72,6 @@ def p_split(depth: int, gamma: float = 0.95, beta: float = 2.0) -> float:
     return gamma / (1.0 + depth) ** beta
 
 
-@dataclass(frozen=True)
-class LeafSufficientStats:
-    """Sufficient statistics of the partial residuals routed to one leaf."""
-
-    n_leaf: int
-    sum_r: float
-    sum_r2: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.n_leaf < 0:
-            raise ValueError("n_leaf must be >= 0")
-        if self.n_leaf > 0 and self.sum_r2 < self.sum_r**2 / self.n_leaf - 1e-9:
-            raise ValueError("sum_r2 inconsistent with sum_r (Cauchy-Schwarz)")
-
-
 def leaf_posterior(n_leaf, sum_r, sigma2: float, sigma_mu2: float):
     """Gaussian full-conditional (mean, variance) of a leaf value.
 
@@ -99,13 +82,6 @@ def leaf_posterior(n_leaf, sum_r, sigma2: float, sigma_mu2: float):
     v = 1.0 / (n_leaf / sigma2 + 1.0 / sigma_mu2)
     m = v * sum_r / sigma2
     return m, v
-
-
-def sample_leaf_value(
-    stats: LeafSufficientStats, sigma2: float, sigma_mu2: float, rng: np.random.Generator
-) -> float:
-    m, v = leaf_posterior(stats.n_leaf, stats.sum_r, sigma2, sigma_mu2)
-    return float(m + math.sqrt(float(v)) * rng.standard_normal())
 
 
 def sigma2_posterior(total_sse: float, n: int, nu: float, lam: float) -> tuple[float, float]:

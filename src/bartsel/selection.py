@@ -210,47 +210,56 @@ def mpm_select(pi_hat: ImportanceVector) -> SelectionResult:
     )
 
 
-def _null_row(args) -> np.ndarray:
-    dataset, config, perm_seed, kind, index = args
+def _null_row(args) -> list[np.ndarray]:
+    dataset, config, perm_seed, kinds, index = args
     try:
         rng = np.random.default_rng(perm_seed)
         y_star = dataset.y[rng.permutation(dataset.n)]
         permuted = dataset.with_response(y_star)
-        cfg = replace(config, seed=perm_seed, track_mi=config.track_mi or kind == KIND_MI)
-        return importance(fit(permuted, cfg, rng=rng), kind)
+        cfg = replace(config, seed=perm_seed, track_mi=config.track_mi or KIND_MI in kinds)
+        trace = fit(permuted, cfg, rng=rng)
+        return [importance(trace, kind) for kind in kinds]
     except Exception as exc:  # noqa: BLE001 - re-raise with the permutation index
         raise FitError(f"permutation {index} (seed {perm_seed}) failed: {exc}") from exc
 
 
 def permutation_null(
     dataset: Dataset,
-    importance_kind: str,
+    importance_kind: str | tuple[str, ...],
     l_perm: int,
     config: FitConfig,
     seed: int,
     jobs: int | Workers = 1,
     start: int = 0,
-) -> np.ndarray:
+) -> np.ndarray | tuple[np.ndarray, ...]:
     """Null importance matrix ((l_perm - start) x p) of the permutations
     ell = start + 1 .. l_perm: row ell comes from one fit on a uniformly
     permuted response, seeded seed + 10000 + ell, so any block of rows
     equals the same rows of the full null.
 
+    ``importance_kind`` is one kind, or a tuple of kinds for a tuple of
+    matrices, one per kind, read from the same fits. The MI log draws no
+    random number, so a permutation's VIP row is the same whether or not
+    its fit also logs MI.
+
     ``jobs`` is a worker count, for a pool that lives for this call only, or
     an open :class:`~bartsel.sampler.Workers`, which is used and left open.
     """
-    if importance_kind not in (KIND_VIP, KIND_MI):
+    kinds = (importance_kind,) if isinstance(importance_kind, str) else tuple(importance_kind)
+    if not kinds or any(kind not in (KIND_VIP, KIND_MI) for kind in kinds):
         raise ValueError(f"unsupported null importance kind {importance_kind!r}")
     if l_perm < 1:
         raise ValueError("l_perm must be >= 1")
     if not 0 <= start < l_perm:
         raise ValueError(f"start must lie in [0, l_perm), got {start}")
     tasks = [
-        (dataset, config, seed + PERMUTATION_SEED_OFFSET + ell, importance_kind, ell)
+        (dataset, config, seed + PERMUTATION_SEED_OFFSET + ell, kinds, ell)
         for ell in range(start + 1, l_perm + 1)
     ]
     with Workers.borrow(jobs) as workers:
-        return np.stack(workers.map(_null_row, tasks))
+        rows = workers.map(_null_row, tasks)
+    nulls = tuple(np.stack(column) for column in zip(*rows))
+    return nulls[0] if isinstance(importance_kind, str) else nulls
 
 
 def _as_observed(observed) -> np.ndarray:

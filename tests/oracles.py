@@ -3,19 +3,22 @@
 These deliberately recompute results by brute force (naive O(m^3)
 clustering, exhaustive threshold scans, bisection, tree queries by descent
 from the root, node rows by O(n) mask scans) so they share no code path with
-the package internals they verify. The split-gain helpers at the end are the
-exception: they expose the sampler's own node-gain formula so the tests can
-check it against full marginal likelihoods.
+the package internals they verify. The helpers at the end are the
+exception. The split gain exposes the sampler's own node-gain formula so the
+tests can check it against full marginal likelihoods. The tree and grid
+views, the leaf statistics and the one-leaf draw are small helpers that only
+tests use, so they live here and not in the package.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
-from bartsel import EnsembleSampler, LeafSufficientStats
+from bartsel import CutpointGrid, DecisionTree, EnsembleSampler, leaf_posterior
 from bartsel.sampler import _node_gains
 
 
@@ -400,7 +403,46 @@ def alpha_log_weights(s: np.ndarray, a: float, b: float, rho: float, grid_size: 
     return alpha_grid, logw
 
 
-# -- the sampler's split gain, for checks against full marginals ----------------
+# -- tree and grid views the sampler does not need -----------------------------
+
+
+def split_counts(tree: DecisionTree, p: int) -> np.ndarray:
+    """Number of internal nodes of ``tree`` splitting on each feature, shape (p,)."""
+    out = np.zeros(p, dtype=np.int64)
+    for i in tree.internal_ids():
+        out[tree.feature[i]] += 1
+    return out
+
+
+def cutpoint_count(grid: CutpointGrid, j: int) -> int:
+    """Number of candidate cutpoints of feature ``j``."""
+    return grid.grids[j].size
+
+
+# -- leaf statistics and the sampler's split gain, for checks against full marginals
+
+
+@dataclass(frozen=True)
+class LeafSufficientStats:
+    """Sufficient statistics of the partial residuals routed to one leaf."""
+
+    n_leaf: int
+    sum_r: float
+    sum_r2: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.n_leaf < 0:
+            raise ValueError("n_leaf must be >= 0")
+        if self.n_leaf > 0 and self.sum_r2 < self.sum_r**2 / self.n_leaf - 1e-9:
+            raise ValueError("sum_r2 inconsistent with sum_r (Cauchy-Schwarz)")
+
+
+def sample_leaf_value(
+    stats: LeafSufficientStats, sigma2: float, sigma_mu2: float, rng: np.random.Generator
+) -> float:
+    """One draw from the leaf value's Gaussian full conditional."""
+    m, v = leaf_posterior(stats.n_leaf, stats.sum_r, sigma2, sigma_mu2)
+    return float(m + math.sqrt(float(v)) * rng.standard_normal())
 
 
 def merged(left: LeafSufficientStats, right: LeafSufficientStats) -> LeafSufficientStats:

@@ -26,6 +26,7 @@ from click.testing import CliRunner
 
 from conftest import random_trace
 from oracles import (
+    LeafSufficientStats,
     gse_cstar_bisection,
     gse_select_oracle,
     gmax_select_oracle,
@@ -33,6 +34,7 @@ from oracles import (
     local_select_oracle,
     naive_cut_two,
     naive_upgma,
+    sample_leaf_value,
 )
 from test_summaries import mi_by_hand, mpvip_by_hand, vc_by_hand, vip_by_hand
 
@@ -41,9 +43,7 @@ from bartsel.cli import main
 from bartsel.data import FitConfig, validate_dataset
 from bartsel.methods import RunConfig, run_method
 from bartsel.sampler import (
-    LeafSufficientStats,
     leaf_posterior,
-    sample_leaf_value,
     sample_sigma2,
     sigma2_posterior,
     update_split_probs,

@@ -480,3 +480,77 @@ class TestRunGrid:
         for i in (0, 2):
             assert rows[i].error is None
             assert without_runtime(rows[i]) == without_runtime(serial[i])
+
+
+def count_fits(monkeypatch) -> dict:
+    """Count the replicate and the permutation fits run in this process."""
+    from bartsel import selection
+
+    calls = {"replicate": 0, "null": 0}
+    real_null_row = selection._null_row
+
+    def fit_one(task):
+        calls["replicate"] += 1
+        return _real_fit_one(task)
+
+    def null_row(task):
+        calls["null"] += 1
+        return real_null_row(task)
+
+    monkeypatch.setattr(methods, "_fit_one", fit_one)
+    monkeypatch.setattr(selection, "_null_row", null_row)
+    return calls
+
+
+class TestOneFitPerChain:
+    """The MI log leaves a chain unchanged, so MI and VIP points share fits."""
+
+    @pytest.mark.parametrize("mi_first", [True, False], ids=["mi-first", "mi-last"])
+    def test_grid_fits_each_chain_once(self, monkeypatch, mi_first):
+        mi = fast_point(method="bart-mi-local", l_rep=2, l_perm=3)
+        local = fast_point(method="bart-vip-local", l_rep=2, l_perm=3)
+        gse = fast_point(method="bart-vip-gse", l_rep=2, l_perm=6)
+        pts = [mi, local, gse] if mi_first else [local, gse, mi]
+        calls = count_fits(monkeypatch)
+        rows = run_grid(pts, jobs=1)
+        assert calls == {"replicate": 2, "null": 6}
+        monkeypatch.undo()
+        for row, pt in zip(rows, pts, strict=True):
+            assert row.error is None
+            lone = dataclasses.replace(run_grid([pt])[0], index=row.index)
+            assert without_runtime(row) == without_runtime(lone)
+
+    def test_mi_point_with_a_bad_override_fails_in_its_own_row(self):
+        bad = fast_point(method="bart-mi-local", l_rep=2, l_perm=3, fit_overrides=(("n_tree", 4),))
+        rows = run_grid([bad, fast_point(method="bart-vip-local", l_rep=2, l_perm=3)])
+        assert rows[0].error.startswith("TypeError") and rows[1].error is None
+
+    def test_mi_request_refits_a_cache_filled_without_the_log(self, monkeypatch):
+        dataset = generate_dataset(REGISTRY["product2"], 40, 5.0, 1, seed=3)
+        fit_cfg = fast_point().fit_config()
+        vip = RunConfig(method="bart-vip-local", fit=fit_cfg, l_rep=2, l_perm=3, seed=4)
+        mi = dataclasses.replace(vip, method="bart-mi-local", l_rep=3, l_perm=4)
+        vip_more = dataclasses.replace(vip, l_rep=4, l_perm=5)
+        mi_more = dataclasses.replace(mi, l_rep=4, l_perm=5)
+        calls = count_fits(monkeypatch)
+        cache: dict = {}
+        results = []
+        # (request, replicate and null fits it runs on the shared cache)
+        steps = [
+            (vip, (2, 3)),
+            (mi, (3, 4)),  # none of the cached fits has the log: all are refitted
+            (dataclasses.replace(vip, l_rep=3, l_perm=4), (0, 0)),  # served by the refits
+            (vip_more, (1, 1)),
+            (mi_more, (1, 1)),  # only the fits after the logged ones are refitted
+        ]
+        for config, (n_rep, n_null) in steps:
+            before = dict(calls)
+            results.append((config, run_method(dataset, config, cache=cache)))
+            assert calls["replicate"] - before["replicate"] == n_rep
+            assert calls["null"] - before["null"] == n_null
+        monkeypatch.undo()
+        for config, grown in results:
+            lone = run_method(dataset, config)
+            assert grown.selection.selected == lone.selection.selected
+            np.testing.assert_array_equal(grown.importance, lone.importance)
+            np.testing.assert_array_equal(grown.null, lone.null)

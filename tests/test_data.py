@@ -16,7 +16,14 @@ from bartsel import (
     PosteriorTrace,
     validate_dataset,
 )
-from oracles import tree_internals, tree_leaves, tree_live, tree_prunables
+from oracles import (
+    cutpoint_count,
+    split_counts,
+    tree_internals,
+    tree_leaves,
+    tree_live,
+    tree_prunables,
+)
 
 
 def grow_random_tree(rng: np.random.Generator, p: int, n_splits: int) -> DecisionTree:
@@ -90,7 +97,7 @@ class TestCutpointGrid:
 
     def test_constant_column_has_single_cutpoint(self):
         grid = CutpointGrid.from_matrix(np.ones((4, 1)))
-        assert grid.size(0) == 1
+        assert cutpoint_count(grid, 0) == 1
 
 
 def full_trace() -> PosteriorTrace:
@@ -223,7 +230,7 @@ class TestTreeArena:
         tree.split_leaf(tree.root, 2, 0.0)
         left = tree.left[tree.root]
         tree.split_leaf(left, 2, -0.5)
-        counts = tree.split_counts(p=4)
+        counts = split_counts(tree, p=4)
         assert counts.tolist() == [0, 0, 2, 0]
 
     def test_depth_tracks_splits(self):

@@ -8,6 +8,7 @@ formulas.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 
@@ -18,13 +19,11 @@ from scipy import integrate, stats
 from bartsel import (
     EnsembleSampler,
     FitConfig,
-    LeafSufficientStats,
     calibrate_lambda,
     fit,
     leaf_posterior,
     p_split,
     sample_alpha,
-    sample_leaf_value,
     sample_sigma2,
     sigma2_posterior,
     update_split_probs,
@@ -32,7 +31,16 @@ from bartsel import (
     vip,
 )
 from bartsel.sampler import FitError, _alpha_grid, _birth_log_ratio, _pick
-from oracles import MaskScanSampler, alpha_log_weights, merged, routed_rows, split_loglik_gain
+from oracles import (
+    LeafSufficientStats,
+    MaskScanSampler,
+    alpha_log_weights,
+    merged,
+    routed_rows,
+    sample_leaf_value,
+    split_counts,
+    split_loglik_gain,
+)
 
 
 class TestPSplit:
@@ -453,7 +461,7 @@ class TestSamplerSweeps:
                 checked["change"] += 1
             tree.validate()
             # the ensemble counts stay the sum of the trees' split counts
-            want_counts = sum(tr.split_counts(sampler.p) for tr in sampler.trees)
+            want_counts = sum(split_counts(tr, sampler.p) for tr in sampler.trees)
             assert np.array_equal(sampler.counts, want_counts)
             # every live node keeps exactly the rows routed through it
             want = routed_rows(tree, ds.X)
@@ -584,6 +592,22 @@ class TestSamplerSweeps:
             # node tags cover exactly the internal nodes of that draw
         tag_totals = np.array([f.size for f in trace.mi_features])
         assert np.array_equal(tag_totals, trace.counts.sum(axis=1))
+
+    @pytest.mark.parametrize("prior", ["bart", "dart"])
+    def test_mi_log_draws_no_random_number(self, prior):
+        # MI and VIP methods share one chain on the strength of this
+        ds = make_regression(seed=28)
+        cfg = FitConfig(
+            n_trees=4, burn_in=30, n_draws=20, prior_kind=prior, track_s_path=True, seed=7
+        )
+        plain = fit(ds, cfg)
+        logged = fit(ds, dataclasses.replace(cfg, track_mi=True))
+        assert plain.mi_features is None and logged.mi_features
+        assert logged.config_echo == {**plain.config_echo, "track_mi": True}
+        unlogged = dataclasses.replace(
+            logged, mi_features=None, mi_probs=None, config_echo=plain.config_echo
+        )
+        assert unlogged == plain
 
     def test_insample_mean_tracks_response_scale(self):
         ds = make_regression(seed=29)

@@ -22,6 +22,7 @@ from bartsel import (
     vip,
 )
 from bartsel.sampler import Workers
+from bartsel.selection import _null_row
 from bartsel.summaries import (
     SOURCE_VC_MEASURE,
     SOURCE_VIP_RANK,
@@ -261,10 +262,34 @@ class TestPermutationNull:
         assert null.shape == (2, ds.p)
         assert np.all(null >= 0.0)
 
+    def test_kinds_read_from_the_same_fits(self):
+        ds = tiny_dataset(13)
+        vip_null, mi_null = permutation_null(ds, ("vip", "mi"), 3, FAST, seed=5)
+        np.testing.assert_array_equal(vip_null, permutation_null(ds, "vip", 3, FAST, seed=5))
+        np.testing.assert_array_equal(mi_null, permutation_null(ds, "mi", 3, FAST, seed=5))
+        (tail,) = permutation_null(ds, ("mi",), 3, FAST, seed=5, start=1)
+        np.testing.assert_array_equal(tail, mi_null[1:])
+
+    def test_vip_row_is_the_same_with_and_without_the_mi_log(self):
+        from dataclasses import replace
+
+        ds = tiny_dataset(14)
+        logged_cfg = replace(FAST, track_mi=True)
+        (plain,) = _null_row((ds, FAST, 10_001, ("vip",), 1))
+        (logged,) = _null_row((ds, logged_cfg, 10_001, ("vip",), 1))
+        vip_row, mi_row = _null_row((ds, FAST, 10_001, ("vip", "mi"), 1))
+        np.testing.assert_array_equal(logged, plain)
+        np.testing.assert_array_equal(vip_row, plain)
+        np.testing.assert_array_equal(mi_row, _null_row((ds, logged_cfg, 10_001, ("mi",), 1))[0])
+
     def test_bad_kind_and_lperm_rejected(self):
         ds = tiny_dataset(10)
         with pytest.raises(ValueError, match="kind"):
             permutation_null(ds, "vc", 2, FAST, seed=0)
+        with pytest.raises(ValueError, match="kind"):
+            permutation_null(ds, ("vip", "vc"), 2, FAST, seed=0)
+        with pytest.raises(ValueError, match="kind"):
+            permutation_null(ds, (), 2, FAST, seed=0)
         with pytest.raises(ValueError, match="l_perm"):
             permutation_null(ds, "vip", 0, FAST, seed=0)
 
