@@ -265,6 +265,10 @@ class MetricsRecord:
 
 
 def compute_metrics(selected, truth, p: int, runtime_s: float = 0.0) -> MetricsRecord:
+    """Confusion counts and tpr/fpr/f1 of 1-based ``selected`` against
+    ``truth`` among p features. ``runtime_s`` is recorded as given; grid rows
+    pass ``MethodResult.runtime_s``, which times only the fits the row
+    computed, not those it reused from the grid's cache."""
     sel = {int(j) for j in selected}
     tru = {int(j) for j in truth}
     for name, idx in (("selected", sel), ("truth", tru)):

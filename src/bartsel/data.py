@@ -401,13 +401,21 @@ class FitConfig:
 class PosteriorTrace:
     """Post burn-in draws of everything the summaries need.
 
-    ``counts[k, j]`` is the number of internal nodes splitting on feature j
-    anywhere in the ensemble at kept draw k. ``inclusion`` is derived:
-    counts > 0. The optional MI log stores, per draw, the features and
+    The split counts are stored sparse, as CSR over the kept draws: the
+    nonzero entries of draw k are ``draw_ptr[k]:draw_ptr[k + 1]``, where entry
+    i says that ``count[i]`` internal nodes anywhere in the ensemble split on
+    feature ``feature[i]``. Within a draw the features ascend, and every count
+    is positive. Both entry arrays are int32: a count is at most the
+    ensemble's number of internal nodes. ``counts`` and ``inclusion`` are
+    dense (n_kept, p) views built on each access, for readers outside the
+    package. The optional MI log stores, per draw, the features and
     acceptance tags of every internal node in the ensemble.
     """
 
-    counts: np.ndarray
+    draw_ptr: np.ndarray
+    feature: np.ndarray
+    count: np.ndarray
+    p: int
     sigma2_path: np.ndarray
     insample_mean_path: np.ndarray
     leaf_counts: np.ndarray
@@ -418,13 +426,36 @@ class PosteriorTrace:
     alpha_path: np.ndarray | None = None
     s_path: np.ndarray | None = None
 
-    @property
-    def n_kept(self) -> int:
-        return self.counts.shape[0]
+    @classmethod
+    def from_counts(cls, counts, **rest) -> PosteriorTrace:
+        """A trace holding the dense (n_kept, p) split-count matrix ``counts``
+        in CSR form; ``rest`` gives the other fields."""
+        counts = np.asarray(counts)
+        draws, feature = np.nonzero(counts)  # row-major: features ascend per draw
+        draw_ptr = np.zeros(counts.shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.count_nonzero(counts, axis=1), out=draw_ptr[1:])
+        return cls(
+            draw_ptr=draw_ptr,
+            feature=feature.astype(np.int32),
+            count=counts[draws, feature].astype(np.int32),
+            p=counts.shape[1],
+            **rest,
+        )
 
     @property
-    def p(self) -> int:
-        return self.counts.shape[1]
+    def n_kept(self) -> int:
+        return self.draw_ptr.size - 1
+
+    def entry_draws(self) -> np.ndarray:
+        """The kept-draw index of each nonzero entry."""
+        return np.repeat(np.arange(self.n_kept), np.diff(self.draw_ptr))
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Dense int64 split counts, ``counts[k, j]`` for draw k, feature j."""
+        dense = np.zeros((self.n_kept, self.p), dtype=np.int64)
+        dense[self.entry_draws(), self.feature] = self.count
+        return dense
 
     @property
     def inclusion(self) -> np.ndarray:

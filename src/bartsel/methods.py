@@ -152,6 +152,15 @@ class RunConfig:
 
 @dataclass
 class MethodResult:
+    """One selection run's outcome.
+
+    ``runtime_s`` is the wall time of this ``run_method`` call: the fits it
+    computed plus summaries and selection. Fits it took from the cache are
+    not timed, so in a grid a row that reuses another row's chain (every VIP
+    point after a ``bart-mi-local`` point on the same data, say) reads near
+    zero, and the figure depends on the other points and their order.
+    """
+
     method: str
     selection: SelectionResult
     summary: SummaryMatrix | None

@@ -535,7 +535,9 @@ class EnsembleSampler:
     def run(self) -> PosteriorTrace:
         cfg = self.config
         K = cfg.n_draws
-        counts_out = np.zeros((K, self.p), dtype=np.int64)
+        # per kept draw, the features split on and their ensemble counts
+        split_features: list[np.ndarray] = []
+        split_counts: list[np.ndarray] = []
         sigma2_path = np.zeros(K)
         mean_path = np.zeros(K)
         leaf_counts = np.zeros((K, cfg.n_trees), dtype=np.int32)
@@ -549,7 +551,9 @@ class EnsembleSampler:
             if it < cfg.burn_in:
                 continue
             k = it - cfg.burn_in
-            counts_out[k] = self.counts
+            used = np.flatnonzero(self.counts)
+            split_features.append(used)
+            split_counts.append(self.counts[used])
             sigma2_path[k] = self.sigma2 * self.y_range**2
             yhat_scaled = self.ysc - self.resid
             mean_path[k] = float(yhat_scaled.mean()) * self.y_range + self.y_center
@@ -579,8 +583,13 @@ class EnsembleSampler:
             sigma_mu=self.sigma_mu,
             noise_prior_lambda=self.lam,
         )
+        draw_ptr = np.zeros(K + 1, dtype=np.int64)
+        np.cumsum([a.size for a in split_features], out=draw_ptr[1:])
         return PosteriorTrace(
-            counts=counts_out,
+            draw_ptr=draw_ptr,
+            feature=np.concatenate(split_features, dtype=np.int32),
+            count=np.concatenate(split_counts, dtype=np.int32),
+            p=self.p,
             sigma2_path=sigma2_path,
             insample_mean_path=mean_path,
             leaf_counts=leaf_counts,

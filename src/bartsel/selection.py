@@ -83,6 +83,14 @@ def hac_average_linkage(points: np.ndarray) -> Dendrogram:
     At each step the pair of active clusters at minimal average-linkage
     distance merges; ties break toward the lexicographically smallest
     (id_a, id_b) pair.
+
+    Each active cluster i keeps its nearest larger-id partner ``nn[i]``, the
+    first minimum of its distances to active ids above i, at distance
+    ``nd[i]``. The first minimum of ``nd`` is then the smallest pair. After a
+    merge only the rows whose partner merged are searched again; every other
+    row compares its partner with the new cluster, whose id is the largest,
+    so it wins only when strictly nearer. Rows and columns of merged clusters
+    are set to inf in the one (2m-1) x (2m-1) distance matrix.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
@@ -102,30 +110,39 @@ def hac_average_linkage(points: np.ndarray) -> Dendrogram:
     sizes = np.zeros(total, dtype=np.int64)
     sizes[:m] = 1
 
-    active = list(range(m))  # kept in ascending id order
+    nn = np.full(total, -1, dtype=np.int64)
+    nd = np.full(total, np.inf)
+
+    def search(i: int, end: int) -> None:
+        row = dist[i, i + 1 : end]
+        k = int(np.argmin(row))
+        nn[i], nd[i] = i + 1 + k, row[k]
+
+    for i in range(m - 1):
+        search(i, m)
     merges = np.zeros((m - 1, 4), dtype=np.float64)
-    next_id = m
     for step in range(m - 1):
-        sub = dist[np.ix_(active, active)]
-        flat = int(np.argmin(sub))  # row-major: first minimum = smallest pair
-        i_idx, j_idx = divmod(flat, len(active))
-        a, b = active[i_idx], active[j_idx]
-        if a > b:
-            a, b = b, a
-        height = float(sub[i_idx, j_idx])
+        a = int(np.argmin(nd))  # first minimum: the smallest a, and nn[a] the smallest b
+        b = int(nn[a])
+        height = float(nd[a])
         na, nb = int(sizes[a]), int(sizes[b])
-        q = next_id
-        next_id += 1
-        rest = [c for c in active if c != a and c != b]
-        if rest:
-            merged_d = (na * dist[a, rest] + nb * dist[b, rest]) / (na + nb)
-            dist[q, rest] = merged_d
-            dist[rest, q] = merged_d
+        q = m + step
+        # merged clusters' entries are inf, and stay inf in merged_d
+        merged_d = (na * dist[a, :q] + nb * dist[b, :q]) / (na + nb)
+        for c in (a, b):
+            dist[c, :] = np.inf
+            dist[:, c] = np.inf
+            nn[c], nd[c] = -1, np.inf
+        dist[q, :q] = merged_d
+        dist[:q, q] = merged_d
         sizes[q] = na + nb
         merges[step] = (a, b, height, na + nb)
-        active.remove(a)
-        active.remove(b)
-        active.append(q)  # q exceeds every current id, so order is preserved
+        stale = np.flatnonzero((nn[:q] == a) | (nn[:q] == b))
+        nearer = merged_d < nd[:q]
+        nn[:q][nearer] = q
+        nd[:q][nearer] = merged_d[nearer]
+        for i in stale.tolist():
+            search(i, q + 1)
     return Dendrogram(merges=merges, m=m)
 
 
@@ -320,6 +337,11 @@ def threshold_gse(observed, null: np.ndarray, alpha: float) -> SelectionResult:
     z-scores (plus 0). Zero-SD columns satisfy coverage for every C and use
     their mean as the threshold. A single-permutation null has no sample SD;
     all columns are then treated as zero-SD.
+
+    Coverage cannot fall as C grows: with s_j > 0, ``m_j + C * s_j`` is
+    non-decreasing in C under IEEE rounding. So the first covering candidate
+    is found by bisection over the sorted candidates; it is the one a linear
+    scan would stop at.
     """
     q = _as_observed(observed)
     null = np.asarray(null, dtype=np.float64)
@@ -336,12 +358,16 @@ def threshold_gse(observed, null: np.ndarray, alpha: float) -> SelectionResult:
     if np.any(pos):
         z = (null[:, pos] - means[pos]) / sds[pos]
         cands = np.unique(np.concatenate([z[z >= 0].ravel(), [0.0]]))
-        c_star = float(cands[-1])  # the largest candidate always covers
-        for c in cands:
-            cover = np.mean(null[:, pos] <= means[pos] + c * sds[pos], axis=0)
+        # the largest candidate always covers, so it is taken untested
+        lo, hi = 0, cands.size - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            cover = np.mean(null[:, pos] <= means[pos] + cands[mid] * sds[pos], axis=0)
             if np.all(cover > 1.0 - alpha):
-                c_star = float(c)
-                break
+                hi = mid
+            else:
+                lo = mid + 1
+        c_star = float(cands[lo])
     else:
         c_star = 0.0
     thr = means + c_star * sds

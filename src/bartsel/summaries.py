@@ -84,28 +84,35 @@ class SummaryMatrix:
     source_kind: str
 
 
+# The three count summaries are weighted bincounts over the trace's CSR
+# entries, taken in draw order. bincount adds each feature's weights one by
+# one, as the dense ``mean(axis=0)`` over a C-contiguous (n_kept, p) matrix
+# adds its rows; the dense sum's only other terms are ``+ 0.0``, which leave
+# a non-negative sum's bits unchanged. The results are the dense formulas'
+# bit for bit (tests/oracles.py keeps those).
+
+
 def vip(trace: PosteriorTrace) -> ImportanceVector:
     """Mean per-draw proportion of splitting rules using each feature.
     Draws with no splits at all contribute 0 to every feature."""
-    counts = trace.counts.astype(np.float64)
-    totals = counts.sum(axis=1)
-    props = np.divide(
-        counts,
-        totals[:, None],
-        out=np.zeros_like(counts),
-        where=totals[:, None] > 0,
+    draws = trace.entry_draws()
+    totals = np.bincount(draws, weights=trace.count, minlength=trace.n_kept)
+    props = trace.count / totals[draws]
+    return ImportanceVector(
+        KIND_VIP, np.bincount(trace.feature, weights=props, minlength=trace.p) / trace.n_kept
     )
-    return ImportanceVector(KIND_VIP, props.mean(axis=0))
 
 
 def vc(trace: PosteriorTrace) -> ImportanceVector:
     """Mean per-draw split count per feature (unnormalized VIP)."""
-    return ImportanceVector(KIND_VC, trace.counts.mean(axis=0).astype(np.float64))
+    sums = np.bincount(trace.feature, weights=trace.count, minlength=trace.p)
+    return ImportanceVector(KIND_VC, sums / trace.n_kept)
 
 
 def mpvip(trace: PosteriorTrace) -> ImportanceVector:
     """Fraction of draws in which each feature is split on at least once."""
-    return ImportanceVector(KIND_MPVIP, trace.inclusion.mean(axis=0))
+    draws_using = np.bincount(trace.feature, minlength=trace.p)
+    return ImportanceVector(KIND_MPVIP, draws_using / trace.n_kept)
 
 
 def metropolis_importance(trace: PosteriorTrace) -> ImportanceVector:

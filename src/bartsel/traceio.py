@@ -1,16 +1,17 @@
 """File formats: dataset CSV ingestion, the portable trace binary, results
 JSON documents, and the benchmark metrics/aggregate CSVs.
 
-Trace binary layout (magic "BVC1", version 1), all integers little-endian:
+Trace binary layout (magic "BVC1", version 2), all integers little-endian:
 
     bytes 0-3   magic b"BVC1"
-    byte  4     format version (0x01)
+    byte  4     format version (0x02)
     bytes 5-8   uint32 header length H
-    bytes 9-    H bytes of UTF-8 JSON header: n_kept, p, n_trees, seed,
+    bytes 9-    H bytes of UTF-8 JSON header: n_kept, p, nnz, n_trees, seed,
                 config echo, presence flags, and per-draw MI node counts
     then raw arrays, in order, with fixed dtypes:
-                counts        int64   n_kept x p
-                inclusion     uint8   n_kept x p
+                draw_ptr      int64   n_kept + 1
+                feature       int32   nnz
+                count         int32   nnz
                 sigma2_path   float64 n_kept
                 insample_mean float64 n_kept
                 leaf_counts   int32   n_kept x n_trees
@@ -18,6 +19,14 @@ Trace binary layout (magic "BVC1", version 1), all integers little-endian:
                 s_path        float64 n_kept x p        (if present)
                 mi_features   int64   total MI nodes    (if present)
                 mi_probs      float64 total MI nodes    (if present)
+
+The first three arrays are the split counts in CSR form (see
+``PosteriorTrace``): draw k's nonzero entries are draw_ptr[k]:draw_ptr[k+1],
+their features ascend and their counts are positive; ``read_trace`` rejects a
+file that breaks any of this. Version 1 stored the counts dense, as an int64
+n_kept x p matrix followed by a uint8 n_kept x p inclusion matrix (counts >
+0), and had no nnz; ``read_trace`` still reads it, and ``write_trace`` writes
+version 2 only.
 
 Timestamps are deliberately excluded so identical fits produce identical
 bytes.
@@ -28,6 +37,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -58,7 +68,7 @@ __all__ = [
 ]
 
 TRACE_MAGIC = b"BVC1"
-TRACE_VERSION = 1
+TRACE_VERSION = 2
 
 
 class TraceFormatError(RuntimeError):
@@ -256,146 +266,170 @@ def load_grid_file(path) -> tuple[list[GridPoint], dict]:
 # -- trace binary ----------------------------------------------------------------
 
 
+def _blocks(header: dict, version: int) -> list[tuple[str, str, tuple[int, ...]]]:
+    """(name, little-endian dtype, shape) of each payload array, in file order."""
+    n_kept, p, n_trees = header["n_kept"], header["p"], header["n_trees"]
+    if version == 1:
+        blocks = [("counts", "<i8", (n_kept, p)), ("inclusion", "u1", (n_kept, p))]
+    else:
+        blocks = [
+            ("draw_ptr", "<i8", (n_kept + 1,)),
+            ("feature", "<i4", (header["nnz"],)),
+            ("count", "<i4", (header["nnz"],)),
+        ]
+    blocks += [
+        ("sigma2_path", "<f8", (n_kept,)),
+        ("insample_mean_path", "<f8", (n_kept,)),
+        ("leaf_counts", "<i4", (n_kept, n_trees)),
+    ]
+    if header["has_alpha"]:
+        blocks.append(("alpha_path", "<f8", (n_kept,)))
+    if header["has_s"]:
+        blocks.append(("s_path", "<f8", (n_kept, p)))
+    if header["has_mi"]:
+        total = sum(header["mi_sizes"])
+        blocks += [("mi_features", "<i8", (total,)), ("mi_probs", "<f8", (total,))]
+    return blocks
+
+
 def write_trace(trace: PosteriorTrace, path) -> None:
+    """Write ``trace`` as a version-2 trace file (see the module docstring)."""
     path = Path(path)
     has_mi = trace.mi_features is not None
-    has_alpha = trace.alpha_path is not None
-    has_s = trace.s_path is not None
-    n_kept, p = trace.counts.shape
-    n_trees = trace.leaf_counts.shape[1]
     header = {
-        "n_kept": int(n_kept),
-        "p": int(p),
-        "n_trees": int(n_trees),
+        "n_kept": trace.n_kept,
+        "p": int(trace.p),
+        "n_trees": int(trace.leaf_counts.shape[1]),
         "seed": int(trace.seed),
         "config": trace.config_echo,
         "has_mi": has_mi,
-        "has_alpha": has_alpha,
-        "has_s": has_s,
+        "has_alpha": trace.alpha_path is not None,
+        "has_s": trace.s_path is not None,
         "mi_sizes": [int(a.size) for a in trace.mi_features] if has_mi else None,
+        "nnz": int(trace.count.size),
     }
+    arrays = {}
+    if has_mi:
+        arrays["mi_features"] = np.concatenate([np.zeros(0, dtype=np.int64), *trace.mi_features])
+        arrays["mi_probs"] = np.concatenate([np.zeros(0), *trace.mi_probs])
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with path.open("wb") as fh:
         fh.write(TRACE_MAGIC)
         fh.write(bytes([TRACE_VERSION]))
         fh.write(struct.pack("<I", len(header_bytes)))
         fh.write(header_bytes)
-        fh.write(np.ascontiguousarray(trace.counts, dtype="<i8").tobytes())
-        fh.write(np.ascontiguousarray(trace.inclusion, dtype="u1").tobytes())
-        fh.write(np.ascontiguousarray(trace.sigma2_path, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(trace.insample_mean_path, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(trace.leaf_counts, dtype="<i4").tobytes())
-        if has_alpha:
-            fh.write(np.ascontiguousarray(trace.alpha_path, dtype="<f8").tobytes())
-        if has_s:
-            fh.write(np.ascontiguousarray(trace.s_path, dtype="<f8").tobytes())
-        if has_mi:
-            feats = (
-                np.concatenate(trace.mi_features)
-                if trace.mi_features
-                else np.zeros(0, dtype=np.int64)
-            )
-            probs = (
-                np.concatenate(trace.mi_probs) if trace.mi_probs else np.zeros(0, dtype=np.float64)
-            )
-            fh.write(np.ascontiguousarray(feats, dtype="<i8").tobytes())
-            fh.write(np.ascontiguousarray(probs, dtype="<f8").tobytes())
+        for name, dtype, _ in _blocks(header, TRACE_VERSION):
+            value = arrays[name] if name in arrays else getattr(trace, name)
+            fh.write(np.ascontiguousarray(value, dtype=dtype))
 
 
-# every key write_trace puts in the header
+# every key write_trace puts in the header, less version 2's "nnz"
 _HEADER_KEYS = (
     "n_kept", "p", "n_trees", "seed", "config", "has_mi", "has_alpha", "has_s", "mi_sizes"
 )
 
 
-def _check_header(header, path: Path) -> None:
+def _check_header(header, version: int, path: Path) -> None:
     """Name what is wrong with a trace header before any payload is read."""
     if not isinstance(header, dict):
         raise TraceFormatError(f"{path}: header is not a JSON object")
-    missing = [key for key in _HEADER_KEYS if key not in header]
+    extra = ("nnz",) if version >= 2 else ()
+    missing = [key for key in _HEADER_KEYS + extra if key not in header]
     if missing:
         raise TraceFormatError(f"{path}: header lacks {', '.join(missing)}")
-    for key in ("n_kept", "p", "n_trees"):
+    for key in ("n_kept", "p", "n_trees", *extra):
         value = header[key]
         if type(value) is not int or value < 0:
             raise TraceFormatError(f"{path}: header {key} must be an integer >= 0, got {value!r}")
     if type(header["seed"]) is not int:
         raise TraceFormatError(f"{path}: header seed must be an integer, got {header['seed']!r}")
     sizes = header["mi_sizes"]
-    if header["has_mi"] and not (
-        isinstance(sizes, list) and all(type(size) is int and size >= 0 for size in sizes)
-    ):
-        raise TraceFormatError(f"{path}: header mi_sizes must be a list of integers >= 0")
+    if header["has_mi"]:
+        if not (isinstance(sizes, list) and all(type(size) is int and size >= 0 for size in sizes)):
+            raise TraceFormatError(f"{path}: header mi_sizes must be a list of integers >= 0")
+        if len(sizes) != header["n_kept"]:
+            raise TraceFormatError(f"{path}: MI size table has {len(sizes)} entries")
 
 
-class _Cursor:
-    def __init__(self, buf: bytes, offset: int) -> None:
-        self.buf = buf
-        self.offset = offset
-
-    def take(self, dtype: str, count: int) -> np.ndarray:
-        arr = np.frombuffer(self.buf, dtype=dtype, count=count, offset=self.offset)
-        self.offset += arr.nbytes
-        return arr.copy()
-
-    def done(self) -> bool:
-        return self.offset == len(self.buf)
+def _check_split_counts(trace: PosteriorTrace, path: Path) -> None:
+    """The CSR invariants ``PosteriorTrace`` documents, as named errors."""
+    ptr, feature, count = trace.draw_ptr, trace.feature, trace.count
+    nnz = count.size
+    if ptr[0] != 0 or np.any(ptr[1:] < ptr[:-1]) or ptr[-1] != nnz:
+        raise TraceFormatError(f"{path}: draw pointer must rise from 0 to nnz={nnz}")
+    if nnz and not (feature.min() >= 0 and feature.max() < trace.p):
+        raise TraceFormatError(f"{path}: split feature outside 0..{trace.p - 1}")
+    draw_start = np.zeros(nnz + 1, dtype=bool)
+    draw_start[ptr] = True
+    if np.any((feature[1:] <= feature[:-1]) & ~draw_start[1:nnz]):
+        raise TraceFormatError(f"{path}: split features do not ascend within a draw")
+    if nnz and count.min() <= 0:
+        raise TraceFormatError(f"{path}: split count <= 0")
 
 
 def read_trace(path) -> PosteriorTrace:
+    """Read a trace file of version 1 or 2. Each array is read once, straight
+    from the file; a version-1 dense count matrix is checked against its
+    inclusion block and converted to CSR."""
     path = Path(path)
-    buf = path.read_bytes()
-    if len(buf) < 9 or buf[:4] != TRACE_MAGIC:
-        raise TraceFormatError(f"{path}: not a trace file (bad magic)")
-    if buf[4] != TRACE_VERSION:
-        raise TraceFormatError(f"{path}: unsupported trace version {buf[4]}")
-    (header_len,) = struct.unpack_from("<I", buf, 5)
-    try:
-        header = json.loads(buf[9 : 9 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise TraceFormatError(f"{path}: corrupt header: {exc}") from exc
-    _check_header(header, path)
-    n_kept, p, n_trees = header["n_kept"], header["p"], header["n_trees"]
-    cur = _Cursor(buf, 9 + header_len)
-    try:
-        counts = cur.take("<i8", n_kept * p).reshape(n_kept, p)
-        inclusion = cur.take("u1", n_kept * p).reshape(n_kept, p).astype(bool)
-        sigma2_path = cur.take("<f8", n_kept)
-        mean_path = cur.take("<f8", n_kept)
-        leaf_counts = cur.take("<i4", n_kept * n_trees).reshape(n_kept, n_trees).astype(np.int32)
-        alpha_path = cur.take("<f8", n_kept) if header["has_alpha"] else None
-        s_path = cur.take("<f8", n_kept * p).reshape(n_kept, p) if header["has_s"] else None
-        mi_features = mi_probs = None
-        if header["has_mi"]:
-            sizes = header["mi_sizes"]
-            if len(sizes) != n_kept:
-                raise TraceFormatError(f"{path}: MI size table has {len(sizes)} entries")
-            total = int(sum(sizes))
-            flat_feats = cur.take("<i8", total)
-            flat_probs = cur.take("<f8", total)
-            mi_features, mi_probs, pos = [], [], 0
-            for size in sizes:
-                mi_features.append(flat_feats[pos : pos + size].astype(np.int64))
-                mi_probs.append(flat_probs[pos : pos + size])
-                pos += size
-    except ValueError as exc:
-        raise TraceFormatError(f"{path}: truncated payload: {exc}") from exc
-    if not cur.done():
-        raise TraceFormatError(f"{path}: {len(buf) - cur.offset} trailing bytes")
-    if not np.array_equal(inclusion, counts > 0):
-        raise TraceFormatError(f"{path}: inclusion matrix inconsistent with counts")
-    return PosteriorTrace(
-        counts=counts.astype(np.int64),
-        sigma2_path=sigma2_path,
-        insample_mean_path=mean_path,
-        leaf_counts=leaf_counts,
-        seed=int(header["seed"]),
+    with path.open("rb") as fh:
+        lead = fh.read(9)
+        if len(lead) < 9 or lead[:4] != TRACE_MAGIC:
+            raise TraceFormatError(f"{path}: not a trace file (bad magic)")
+        version = lead[4]
+        if version not in (1, TRACE_VERSION):
+            raise TraceFormatError(f"{path}: unsupported trace version {version}")
+        (header_len,) = struct.unpack_from("<I", lead, 5)
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise TraceFormatError(f"{path}: corrupt header: {exc}") from exc
+        _check_header(header, version, path)
+        blocks = _blocks(header, version)
+        need = sum(np.dtype(dtype).itemsize * math.prod(shape) for _, dtype, shape in blocks)
+        have = os.fstat(fh.fileno()).st_size - fh.tell()
+        if have < need:
+            raise TraceFormatError(f"{path}: truncated payload: {have} of {need} bytes")
+        if have > need:
+            raise TraceFormatError(f"{path}: {have - need} trailing bytes")
+        arrays = {}
+        for name, dtype, shape in blocks:
+            arrays[name] = arr = np.empty(shape, dtype=dtype)
+            if fh.readinto(arr) != arr.nbytes:
+                raise TraceFormatError(f"{path}: truncated payload in {name}")
+    if header["has_mi"]:
+        ends = np.cumsum(header["mi_sizes"]).tolist()
+        for name in ("mi_features", "mi_probs"):
+            flat = arrays[name]
+            arrays[name] = [flat[a:b] for a, b in zip([0] + ends, ends)]
+    rest = dict(
+        sigma2_path=arrays["sigma2_path"],
+        insample_mean_path=arrays["insample_mean_path"],
+        leaf_counts=arrays["leaf_counts"],
+        seed=header["seed"],
         config_echo=header["config"],
-        mi_features=mi_features,
-        mi_probs=mi_probs,
-        alpha_path=alpha_path,
-        s_path=s_path,
+        mi_features=arrays.get("mi_features"),
+        mi_probs=arrays.get("mi_probs"),
+        alpha_path=arrays.get("alpha_path"),
+        s_path=arrays.get("s_path"),
     )
+    if version == 1:
+        counts = arrays["counts"]
+        if not np.array_equal(arrays["inclusion"] != 0, counts > 0):
+            raise TraceFormatError(f"{path}: inclusion matrix inconsistent with counts")
+        if counts.size and counts.max() > np.iinfo(np.int32).max:
+            raise TraceFormatError(f"{path}: split count above {np.iinfo(np.int32).max}")
+        trace = PosteriorTrace.from_counts(counts, **rest)
+    else:
+        trace = PosteriorTrace(
+            draw_ptr=arrays["draw_ptr"],
+            feature=arrays["feature"],
+            count=arrays["count"],
+            p=header["p"],
+            **rest,
+        )
+    _check_split_counts(trace, path)
+    return trace
 
 
 # -- results documents -------------------------------------------------------------

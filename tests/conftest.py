@@ -18,8 +18,8 @@ def make_trace(
     """Build a synthetic trace carrying the given counts matrix."""
     counts = np.asarray(counts, dtype=np.int64)
     k, _ = counts.shape
-    trace = PosteriorTrace(
-        counts=counts,
+    trace = PosteriorTrace.from_counts(
+        counts,
         sigma2_path=np.ones(k),
         insample_mean_path=np.zeros(k),
         leaf_counts=np.ones((k, n_trees), dtype=np.int32),

@@ -3,7 +3,10 @@
 These deliberately recompute results by brute force (naive O(m^3)
 clustering, exhaustive threshold scans, bisection, tree queries by descent
 from the root, node rows by O(n) mask scans) so they share no code path with
-the package internals they verify. The helpers at the end are the
+the package internals they verify. The straightforward versions of
+optimised package code are kept too, as bit-exact references: UPGMA by
+submatrix copies, the G.SE linear scan, the dense split-count summaries and
+the version-1 trace layout. The helpers at the end are the
 exception. The split gain exposes the sampler's own node-gain formula so the
 tests can check it against full marginal likelihoods. The tree and grid
 views, the leaf statistics and the one-leaf draw are small helpers that only
@@ -12,8 +15,11 @@ tests use, so they live here and not in the package.
 
 from __future__ import annotations
 
+import json
 import math
+import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.special import gammaln
@@ -172,6 +178,129 @@ def gse_cstar_bisection(null: np.ndarray, alpha: float, iters: int = 200) -> flo
         else:
             lo = mid
     return hi
+
+
+def upgma_submatrix(points: np.ndarray) -> np.ndarray:
+    """UPGMA that copies the active x active distance submatrix at every
+    merge and takes its row-major first minimum: O(m^3) copying, with the
+    smallest-pair tie-break. ``hac_average_linkage`` must give the same merge
+    rows bit for bit."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    m = pts.shape[0]
+    total = 2 * m - 1
+    dist = np.full((total, total), np.inf)
+    diffs = pts[:, None, :] - pts[None, :, :]
+    base = np.sqrt((diffs**2).sum(axis=2))
+    np.fill_diagonal(base, np.inf)
+    dist[:m, :m] = base
+    sizes = np.zeros(total, dtype=np.int64)
+    sizes[:m] = 1
+    active = list(range(m))  # kept in ascending id order
+    merges = np.zeros((m - 1, 4), dtype=np.float64)
+    next_id = m
+    for step in range(m - 1):
+        sub = dist[np.ix_(active, active)]
+        flat = int(np.argmin(sub))  # row-major: first minimum = smallest pair
+        i_idx, j_idx = divmod(flat, len(active))
+        a, b = active[i_idx], active[j_idx]
+        if a > b:
+            a, b = b, a
+        height = float(sub[i_idx, j_idx])
+        na, nb = int(sizes[a]), int(sizes[b])
+        q = next_id
+        next_id += 1
+        rest = [c for c in active if c != a and c != b]
+        if rest:
+            merged_d = (na * dist[a, rest] + nb * dist[b, rest]) / (na + nb)
+            dist[q, rest] = merged_d
+            dist[rest, q] = merged_d
+        sizes[q] = na + nb
+        merges[step] = (a, b, height, na + nb)
+        active.remove(a)
+        active.remove(b)
+        active.append(q)
+    return merges
+
+
+def gse_scan(null: np.ndarray, alpha: float) -> tuple[float, np.ndarray]:
+    """The G.SE rule with C* found by a linear scan of the sorted candidates,
+    the first covering one winning. Returns (C*, thresholds), which
+    ``threshold_gse`` must match bit for bit."""
+    null = np.asarray(null, dtype=np.float64)
+    l_perm = null.shape[0]
+    means = null.mean(axis=0)
+    sds = null.std(axis=0, ddof=1) if l_perm > 1 else np.zeros_like(means)
+    const = null.max(axis=0) == null.min(axis=0)
+    means[const] = null[0, const]
+    sds[const] = 0.0
+    pos = sds > 0
+    c_star = 0.0
+    if np.any(pos):
+        z = (null[:, pos] - means[pos]) / sds[pos]
+        cands = np.unique(np.concatenate([z[z >= 0].ravel(), [0.0]]))
+        c_star = float(cands[-1])
+        for c in cands:
+            cover = np.mean(null[:, pos] <= means[pos] + c * sds[pos], axis=0)
+            if np.all(cover > 1.0 - alpha):
+                c_star = float(c)
+                break
+    return c_star, means + c_star * sds
+
+
+# -- dense split-count summaries and the version-1 trace layout ------------------
+
+
+def dense_vip(counts: np.ndarray) -> np.ndarray:
+    counts = np.asarray(counts).astype(np.float64)
+    totals = counts.sum(axis=1)
+    props = np.divide(counts, totals[:, None], out=np.zeros_like(counts), where=totals[:, None] > 0)
+    return props.mean(axis=0)
+
+
+def dense_vc(counts: np.ndarray) -> np.ndarray:
+    return np.asarray(counts, dtype=np.int64).mean(axis=0).astype(np.float64)
+
+
+def dense_mpvip(counts: np.ndarray) -> np.ndarray:
+    return (np.asarray(counts) > 0).mean(axis=0)
+
+
+def write_trace_v1(trace, path) -> None:
+    """Write ``trace`` in the version-1 layout: dense int64 counts and a
+    uint8 inclusion matrix in place of the CSR arrays, no nnz."""
+    has_mi = trace.mi_features is not None
+    header = {
+        "n_kept": trace.n_kept,
+        "p": trace.p,
+        "n_trees": int(trace.leaf_counts.shape[1]),
+        "seed": int(trace.seed),
+        "config": trace.config_echo,
+        "has_mi": has_mi,
+        "has_alpha": trace.alpha_path is not None,
+        "has_s": trace.s_path is not None,
+        "mi_sizes": [int(a.size) for a in trace.mi_features] if has_mi else None,
+    }
+    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    parts = [b"BVC1", bytes([1]), struct.pack("<I", len(header_bytes)), header_bytes]
+    counts = trace.counts
+    arrays = [
+        (counts, "<i8"),
+        (counts > 0, "u1"),
+        (trace.sigma2_path, "<f8"),
+        (trace.insample_mean_path, "<f8"),
+        (trace.leaf_counts, "<i4"),
+    ]
+    if trace.alpha_path is not None:
+        arrays.append((trace.alpha_path, "<f8"))
+    if trace.s_path is not None:
+        arrays.append((trace.s_path, "<f8"))
+    if has_mi:
+        arrays.append((np.concatenate([np.zeros(0, dtype=np.int64), *trace.mi_features]), "<i8"))
+        arrays.append((np.concatenate([np.zeros(0), *trace.mi_probs]), "<f8"))
+    parts += [np.ascontiguousarray(arr, dtype=dtype).tobytes() for arr, dtype in arrays]
+    Path(path).write_bytes(b"".join(parts))
 
 
 # -- trees and the sampler's transition kernel ----------------------------------

@@ -9,13 +9,15 @@ import pkgutil
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conftest import random_trace
+from conftest import make_trace, random_trace
+from oracles import write_trace_v1
 import bartsel
 from bartsel.benchmark import GridPoint, GridRowResult, compute_metrics
 from bartsel.cli import _jobs_value, main
@@ -41,6 +43,7 @@ from bartsel.traceio import (
     write_trace,
 )
 
+FIXTURES = Path(__file__).parent / "data"
 FAST_FIT = FitConfig(n_trees=4, burn_in=30, n_draws=30)
 FAST_FLAGS = ["--trees", "4", "--burnin", "30", "--draws", "30"]
 
@@ -176,16 +179,132 @@ class TestTraceFile:
             read_trace(path)
 
     def test_inconsistent_inclusion(self, tmp_path):
-        trace = random_trace(np.random.default_rng(4), k=4, p=2)
-        trace.counts[0, 0] = 3  # make the first count cell nonzero, then zero it on disk
+        counts = np.random.default_rng(4).integers(0, 5, size=(4, 2))
+        counts[0, 0] = 3  # make the first count cell nonzero, then zero it on disk
         path = tmp_path / "t.trace"
-        write_trace(trace, path)
+        write_trace_v1(make_trace(counts), path)
         buf = bytearray(path.read_bytes())
         header_len = int.from_bytes(buf[5:9], "little")
         start = 9 + header_len
         buf[start : start + 8] = (0).to_bytes(8, "little")
         path.write_bytes(bytes(buf))
         with pytest.raises(TraceFormatError, match="inclusion matrix inconsistent"):
+            read_trace(path)
+
+
+def v1_fixture_fit():
+    """The fit the committed version-1 fixture holds: DART with the MI log
+    and the s path, seed 4; its first kept draw has no splits."""
+    rng = np.random.default_rng(2024)
+    X = rng.uniform(size=(24, 4))
+    y = X[:, 0] + rng.normal(0.0, 1.0, 24)
+    config = FitConfig(
+        n_trees=2, burn_in=5, n_draws=16, prior_kind="dart", seed=4,
+        track_mi=True, track_s_path=True,
+    )
+    return bartsel.fit(validate_dataset(y, X), config)
+
+
+def split_blocks(buf: bytes):
+    """(lead and header, draw_ptr, feature, count, rest) of a version-2 file."""
+    header_len = int.from_bytes(buf[5:9], "little")
+    header = json.loads(buf[9 : 9 + header_len])
+    pos = 9 + header_len
+    out = [buf[:pos]]
+    nnz = header["nnz"]
+    for dtype, size in (("<i8", header["n_kept"] + 1), ("<i4", nnz), ("<i4", nnz)):
+        arr = np.frombuffer(buf, dtype=dtype, count=size, offset=pos).copy()
+        out.append(arr)
+        pos += arr.nbytes
+    return out + [buf[pos:]]
+
+
+class TestTraceVersions:
+    def test_version_1_fixture_reads_back(self, tmp_path):
+        want = v1_fixture_fit()
+        loaded = read_trace(FIXTURES / "trace-v1.bvc")
+        assert loaded == want
+        assert loaded.draw_ptr[1] == 0 and loaded.n_kept == 16 and loaded.p == 4
+        path = tmp_path / "t.trace"
+        write_trace(loaded, path)
+        assert path.read_bytes()[4] == 2
+        assert read_trace(path) == want
+
+    def test_version_1_count_above_int32_named(self, tmp_path):
+        path = tmp_path / "t.trace"
+        write_trace_v1(make_trace([[1, 0]]), path)
+        buf = bytearray(path.read_bytes())
+        start = 9 + int.from_bytes(buf[5:9], "little")
+        buf[start : start + 8] = (2**32 + 1).to_bytes(8, "little")  # would wrap to 1
+        path.write_bytes(bytes(buf))
+        with pytest.raises(TraceFormatError, match="split count above 2147483647"):
+            read_trace(path)
+
+    def test_version_1_layout_reads_as_csr(self, tmp_path):
+        rng = np.random.default_rng(9)
+        for with_mi in (False, True):
+            trace = random_trace(rng, k=6, p=4, with_mi=with_mi)
+            path = tmp_path / "t.trace"
+            write_trace_v1(trace, path)
+            assert read_trace(path) == trace
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            FitConfig(n_trees=3, burn_in=10, n_draws=12, seed=1),
+            FitConfig(
+                n_trees=3, burn_in=10, n_draws=12, seed=1,
+                prior_kind="dart", track_mi=True, track_s_path=True,
+            ),
+        ],
+        ids=["bart", "dart-mi-s-path"],
+    )
+    def test_version_2_round_trips_a_fit(self, tmp_path, signal_dataset, config):
+        trace = bartsel.fit(signal_dataset, config)
+        path = tmp_path / "t.trace"
+        write_trace(trace, path)
+        assert read_trace(path) == trace
+        # the payload is the CSR arrays and the paths: no inclusion block
+        k, nnz, p = trace.n_kept, trace.count.size, trace.p
+        payload = 8 * (k + 1) + 4 * nnz + 4 * nnz + 8 * k + 8 * k + 4 * k * config.n_trees
+        if config.prior_kind == "dart":
+            payload += 8 * k + 8 * k * p
+        if config.track_mi:
+            payload += 16 * sum(a.size for a in trace.mi_features)
+        header_len = int.from_bytes(path.read_bytes()[5:9], "little")
+        assert path.stat().st_size == 9 + header_len + payload
+
+    def test_draws_without_splits_round_trip(self, tmp_path):
+        for counts in (np.zeros((3, 2), dtype=int), [[0, 0, 0], [2, 0, 1], [0, 0, 0]]):
+            mi = {"mi_features": [[], [0, 0, 2], []], "mi_probs": [[], [1.0, 0.5, 0.25], []]}
+            trace = make_trace(counts, **mi)
+            path = tmp_path / "t.trace"
+            write_trace(trace, path)
+            assert read_trace(path) == trace
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda ptr, feature, count: ptr.__setitem__(0, 1), "draw pointer must rise from 0"),
+            (lambda ptr, feature, count: ptr.__setitem__(1, 3), "draw pointer must rise from 0"),
+            (lambda ptr, feature, count: ptr.__setitem__(-1, 3), "rise from 0 to nnz=4"),
+            (lambda ptr, feature, count: feature.__setitem__(1, 3), "split feature outside 0..2"),
+            (lambda ptr, feature, count: feature.__setitem__(0, -1), "split feature outside 0..2"),
+            (lambda ptr, feature, count: feature.__setitem__(1, 0), "do not ascend within a draw"),
+            (lambda ptr, feature, count: feature.__setitem__(3, 0), "do not ascend within a draw"),
+            (lambda ptr, feature, count: count.__setitem__(2, 0), "split count <= 0"),
+            (lambda ptr, feature, count: count.__setitem__(0, -2), "split count <= 0"),
+        ],
+    )
+    def test_malformed_csr_named(self, tmp_path, edit, message):
+        # draws: {0: 1, 2: 2}, {}, {0: 3, 1: 1}; pointer [0, 2, 2, 4]
+        trace = make_trace([[1, 0, 2], [0, 0, 0], [3, 1, 0]])
+        path = tmp_path / "t.trace"
+        write_trace(trace, path)
+        head, ptr, feature, count, rest = split_blocks(path.read_bytes())
+        edit(ptr, feature, count)
+        path.write_bytes(head + ptr.tobytes() + feature.tobytes() + count.tobytes() + rest)
+        with pytest.raises(TraceFormatError, match=re.escape(message)):
             read_trace(path)
 
 

@@ -102,8 +102,8 @@ class TestCutpointGrid:
 
 def full_trace() -> PosteriorTrace:
     """A two-draw trace with every optional field present."""
-    return PosteriorTrace(
-        counts=np.array([[1, 0, 2], [0, 1, 1]]),
+    return PosteriorTrace.from_counts(
+        [[1, 0, 2], [0, 1, 1]],
         sigma2_path=np.array([0.5, 0.25]),
         insample_mean_path=np.array([1.0, 1.5]),
         leaf_counts=np.array([[2, 3], [3, 2]], dtype=np.int32),

@@ -37,8 +37,10 @@ from oracles import (
     labels_equal_up_to_swap,
     local_select_oracle,
     gmax_select_oracle,
+    gse_scan,
     naive_cut_two,
     naive_upgma,
+    upgma_submatrix,
 )
 
 
@@ -72,6 +74,26 @@ class TestHac:
             np.testing.assert_array_equal(dend.merges[:, :2], oracle[:, :2])
             np.testing.assert_allclose(dend.merges[:, 2], oracle[:, 2], rtol=1e-10)
             assert labels_equal_up_to_swap(cut_two(dend), naive_cut_two(pts))
+
+    def test_merges_bitwise_equal_to_submatrix_scan_under_ties(self):
+        # small integer grids tie many distances; repeated rows tie at zero
+        rng = np.random.default_rng(31)
+        for trial in range(300):
+            m, d = int(rng.integers(2, 40)), int(rng.integers(1, 4))
+            pts = rng.integers(0, 3, size=(m, d)).astype(np.float64)
+            if trial % 2:
+                pts[rng.integers(0, m, size=m // 2)] = pts[rng.integers(0, m)]
+            dend = hac_average_linkage(pts)
+            assert np.array_equal(dend.merges, upgma_submatrix(pts))
+            if m <= 12:
+                oracle = naive_upgma(pts)
+                np.testing.assert_allclose(dend.merges[:, 2], oracle[:, 2], rtol=1e-10, atol=1e-12)
+                assert labels_equal_up_to_swap(cut_two(dend), naive_cut_two(pts))
+
+    def test_merges_bitwise_equal_to_submatrix_scan_at_summary_size(self):
+        rng = np.random.default_rng(32)
+        pts = np.round(rng.standard_t(2, size=(306, 4)), 1)
+        assert np.array_equal(hac_average_linkage(pts).merges, upgma_submatrix(pts))
 
     def test_heights_nondecreasing(self):
         rng = np.random.default_rng(2)
@@ -398,6 +420,23 @@ class TestThresholdGse:
             want_sel, want_c = gse_select_oracle(q, null, alpha)
             assert result.selected == want_sel
             assert result.diagnostics["c_star"] == pytest.approx(want_c, rel=1e-9, abs=1e-12)
+
+    def test_c_star_bitwise_equal_to_linear_scan(self):
+        rng = np.random.default_rng(19)
+        nulls = [np.array([[0.3, 0.5]]), np.tile([0.2, 0.4], (4, 1))]
+        for trial in range(400):
+            shape = (int(rng.integers(1, 12)), int(rng.integers(1, 8)))
+            null = rng.random(shape) if trial % 2 else rng.integers(0, 3, size=shape) / 4.0
+            if trial % 5 == 0:
+                null[:, 0] = 0.25  # a constant column
+            nulls.append(null)
+        nulls.append(rng.random((50, 306)))  # L_perm = 50 at p = 306
+        for null in nulls:
+            for alpha in (0.05, 0.2, float(rng.uniform(0.01, 0.9))):
+                result = threshold_gse(rng.random(null.shape[1]), null, alpha)
+                c_star, thresholds = gse_scan(null, alpha)
+                assert result.diagnostics["c_star"] == c_star
+                assert np.array_equal(result.thresholds, thresholds)
 
     def test_candidate_scan_agrees_with_bisection(self):
         rng = np.random.default_rng(16)

@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.stats import rankdata
 
 from bartsel import (
+    METHOD_NAMES,
+    FitConfig,
+    PosteriorTrace,
+    RunConfig,
     build_summary_matrix,
+    fit,
+    read_trace,
+    run_method,
+    write_trace,
     metropolis_importance,
     mpvip,
     rank_descending,
@@ -17,6 +27,7 @@ from bartsel import (
 from bartsel.summaries import SOURCE_VC_MEASURE, SOURCE_VIP_MEASURE, SOURCE_VIP_RANK, importance
 
 from conftest import make_trace, random_trace
+from oracles import dense_mpvip, dense_vc, dense_vip, write_trace_v1
 
 
 def vip_by_hand(counts: np.ndarray) -> np.ndarray:
@@ -126,6 +137,51 @@ class TestMpvip:
             np.testing.assert_allclose(
                 mpvip(trace).values, mpvip_by_hand(trace.counts), atol=1e-12
             )
+
+
+class TestSparseCounts:
+    """The count summaries work from the CSR entries and equal the dense
+    formulas bit for bit."""
+
+    def assert_dense_equal(self, trace):
+        counts = trace.counts
+        assert np.array_equal(vip(trace).values, dense_vip(counts))
+        assert np.array_equal(vc(trace).values, dense_vc(counts))
+        assert np.array_equal(mpvip(trace).values, dense_mpvip(counts))
+
+    def test_bitwise_equal_to_dense_formulas_on_random_traces(self):
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            k, p = int(rng.integers(1, 300)), int(rng.integers(1, 40))
+            counts = rng.integers(0, 7, size=(k, p)) * (rng.random((k, p)) < rng.random())
+            counts[rng.random(k) < 0.1] = 0
+            self.assert_dense_equal(make_trace(counts))
+
+    @pytest.mark.parametrize("prior", ["bart", "dart"])
+    def test_bitwise_equal_to_dense_formulas_on_fits(self, small_dataset, prior):
+        config = FitConfig(n_trees=10, burn_in=20, n_draws=150, prior_kind=prior, seed=3)
+        self.assert_dense_equal(fit(small_dataset, config))
+
+    def test_package_never_builds_the_dense_matrix(self, monkeypatch, small_dataset, tmp_path):
+        v1_path = tmp_path / "v1.trace"
+        write_trace_v1(make_trace([[1, 0, 2], [0, 0, 0]]), v1_path)
+
+        def dense(self):
+            raise AssertionError("dense split counts built")
+
+        monkeypatch.setattr(PosteriorTrace, "counts", property(dense))
+        config = FitConfig(n_trees=3, burn_in=5, n_draws=8)
+        for method in METHOD_NAMES:
+            run_method(small_dataset, RunConfig(method=method, fit=config, l_rep=2, l_perm=2))
+        trace = fit(
+            small_dataset,
+            replace(config, prior_kind="dart", track_mi=True, track_s_path=True),
+        )
+        path = tmp_path / "v2.trace"
+        write_trace(trace, path)
+        assert read_trace(path) == trace
+        read_trace(v1_path)
+        build_summary_matrix([trace, trace], SOURCE_VC_MEASURE)
 
 
 class TestMetropolisImportance:
