@@ -336,25 +336,11 @@ class GridRowResult:
     error: str | None = None
 
 
-def _chain(pt: GridPoint) -> tuple:
-    """The dataset key and the chain's fit configuration (prior set, no MI
-    log) of a grid point; points with equal chains share fits."""
+def _data_key(pt: GridPoint) -> tuple:
+    """The key of a grid point's dataset; points with equal keys share it
+    and its ``run_method`` cache."""
     data_seed = pt.seed + REPLICATE_SEED_STRIDE * pt.replicate
-    fit = replace(pt.fit_config(), prior_kind=METHOD_SPECS[pt.method].prior_kind, track_mi=False)
-    return (pt.equation, pt.n, pt.snr, pt.s_copies, data_seed), fit
-
-
-def _mi_chains(points: list[GridPoint]) -> set:
-    """The chains some MI point fits; every point on them logs MI, so the
-    first of them fits the chain once for all."""
-    chains = set()
-    for pt in points:
-        if pt.method in METHOD_SPECS and METHOD_SPECS[pt.method].track_mi:
-            try:
-                chains.add(_chain(pt))
-            except TypeError:  # a bad override fails in its own row
-                pass
-    return chains
+    return (pt.equation, pt.n, pt.snr, pt.s_copies, data_seed)
 
 
 def _run_point(
@@ -363,25 +349,21 @@ def _run_point(
     equations: Mapping[str, Any],
     dataset_cache: dict,
     workers: Workers,
-    mi_chains: set,
 ) -> GridRowResult:
     if pt.method not in METHOD_SPECS:
         raise BenchmarkError(f"unknown method {pt.method!r}")
     if pt.equation not in equations:
         raise BenchmarkError(f"unknown equation {pt.equation!r}")
     eq = _coerce_equation(pt.equation, equations[pt.equation])
-    dkey, chain_fit = _chain(pt)
+    dkey = _data_key(pt)
     data_seed = dkey[-1]
     if dkey not in dataset_cache:
         dataset, info = generate_dataset_with_info(eq, pt.n, pt.snr, pt.s_copies, data_seed)
         dataset_cache[dkey] = (dataset, info, {})
     dataset, info, fit_cache = dataset_cache[dkey]
-    fit = pt.fit_config()
-    if (dkey, chain_fit) in mi_chains:
-        fit = replace(fit, track_mi=True)
     config = RunConfig(
         method=pt.method,
-        fit=fit,
+        fit=pt.fit_config(),
         l_rep=pt.l_rep,
         l_perm=pt.l_perm,
         alpha=pt.alpha,
@@ -416,9 +398,8 @@ def run_grid(
     reuse replicate fits and permutation-null rows across L_rep and L_perm
     values and across methods sharing a chain (a BART or DART fit
     configuration and seed), and grow them by the missing rows only; seeding
-    makes the reuse exact. The MI log leaves a chain unchanged, so MI and
-    VIP points share fits: every point on a chain that a computed MI point
-    uses logs MI, whatever the row order, and each chain is fitted once.
+    makes the reuse exact. Every fit keeps the MI sum, so MI and VIP points
+    share fits, and each chain is fitted once whatever the row order.
     Points for which ``skip`` returns True are omitted from the output
     (resume support); ``progress`` observes each computed row. Rows return
     in grid order.
@@ -434,13 +415,12 @@ def run_grid(
     if equations:
         eqs.update(equations)
     todo = [(i, pt) for i, pt in enumerate(points) if skip is None or not skip(i, pt)]
-    mi_chains = _mi_chains([pt for _, pt in todo])
     dataset_cache: dict = {}
     out: list[GridRowResult] = []
     with Workers(jobs) as workers:
         for index, pt in todo:
             try:
-                row = _run_point(index, pt, eqs, dataset_cache, workers, mi_chains)
+                row = _run_point(index, pt, eqs, dataset_cache, workers)
             except Exception as exc:  # noqa: BLE001 - isolation contract
                 row = GridRowResult(index=index, point=pt, error=f"{type(exc).__name__}: {exc}")
             if progress is not None:

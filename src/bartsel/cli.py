@@ -96,7 +96,9 @@ def main() -> None:
     show_default=True,
     help="Split-feature prior.",
 )
-@click.option("--mi/--no-mi", "track_mi", default=False, help="Record MI acceptance tags.")
+@click.option(
+    "--mi/--no-mi", "track_mi", default=False, help="Keep the Metropolis importance (MI) sum."
+)
 @click.option("--seed", default=0, show_default=True)
 @click.option(
     "--out",

@@ -408,8 +408,8 @@ class PosteriorTrace:
     is positive. Both entry arrays are int32: a count is at most the
     ensemble's number of internal nodes. ``counts`` and ``inclusion`` are
     dense (n_kept, p) views built on each access, for readers outside the
-    package. The optional MI log stores, per draw, the features and
-    acceptance tags of every internal node in the ensemble.
+    package. ``mi_sum`` is the (p,) sum over kept draws of each draw's MI
+    term (``summaries.mi_term``), or None when MI was not tracked.
     """
 
     draw_ptr: np.ndarray
@@ -421,8 +421,7 @@ class PosteriorTrace:
     leaf_counts: np.ndarray
     seed: int
     config_echo: dict
-    mi_features: list[np.ndarray] | None = None
-    mi_probs: list[np.ndarray] | None = None
+    mi_sum: np.ndarray | None = None
     alpha_path: np.ndarray | None = None
     s_path: np.ndarray | None = None
 
@@ -470,8 +469,6 @@ class PosteriorTrace:
                 same = a is b
             elif isinstance(a, np.ndarray):
                 same = np.array_equal(a, b)  # False on a shape mismatch
-            elif isinstance(a, list):
-                same = len(a) == len(b) and all(np.array_equal(u, v) for u, v in zip(a, b))
             else:
                 same = a == b
             if not same:

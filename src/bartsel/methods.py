@@ -13,10 +13,10 @@ Seed scheme: a run seed expands to per-fit seeds seed + fit_index
 prefix of the replicate fits is reproducible independently. ``run_method``
 can therefore keep replicate fits and null rows in a per-dataset cache and
 grow them by the missing rows only; a grown cache is bit-identical to a
-fresh run. The MI log only reads the trees after each kept draw and draws
-no random number, so it leaves the chain unchanged: the cache keys a chain
-by its fit configuration without ``track_mi``, and MI and VIP methods
-share their replicate and permutation fits.
+fresh run. Every fit keeps the MI sum, which only reads the trees after
+each kept draw and draws no random number, so one chain serves every
+method on its prior: MI and VIP methods share their replicate and
+permutation fits, and each null fit gives both a VIP and an MI row.
 """
 
 from __future__ import annotations
@@ -83,10 +83,6 @@ class MethodSpec:
     def needs_null(self) -> bool:
         return self.route == ROUTE_PERMUTATION
 
-    @property
-    def track_mi(self) -> bool:
-        return self.perm_kind == KIND_MI
-
 
 METHOD_SPECS: dict[str, MethodSpec] = {
     spec.name: spec
@@ -141,13 +137,8 @@ class RunConfig:
         self.fit.validate()
 
     def fit_config(self) -> FitConfig:
-        """The per-fit configuration implied by the method (prior, MI log)."""
-        spec = METHOD_SPECS[self.method]
-        return replace(
-            self.fit,
-            prior_kind=spec.prior_kind,
-            track_mi=self.fit.track_mi or spec.track_mi,
-        )
+        """The per-fit configuration: the method's prior, with the MI sum kept."""
+        return replace(self.fit, prior_kind=METHOD_SPECS[self.method].prior_kind, track_mi=True)
 
 
 @dataclass
@@ -229,21 +220,18 @@ def select_with_method(
     return mpm_select(ImportanceVector(KIND_MPVIP, pi_hat)), None
 
 
-def _grow(rows: list, count: int, needs_mi: bool, has_mi, compute) -> list:
-    """The first ``count`` of the cached ``rows``; ``compute(start, count)``
-    makes rows start .. count - 1. When the MI log is needed, the rows from
-    the first one without it (``has_mi(row)`` false) are made again and
-    replaced."""
-    start = len(rows)
-    if needs_mi:
-        start = next((i for i, row in enumerate(rows) if not has_mi(row)), start)
-    if start < count:
-        rows[start:count] = compute(start, count)
+def _grow(rows: list, count: int, compute) -> list:
+    """The first ``count`` of the cached ``rows``, after appending the rows
+    ``compute(len(rows), count)`` makes when the cache holds fewer."""
+    if len(rows) < count:
+        rows += compute(len(rows), count)
     return rows[:count]
 
 
-def _null_rows(dataset, fit_cfg, seed, kinds, start, stop, pool) -> list[dict]:
-    """Null rows start .. stop - 1, each a {kind: row} dict read from one fit."""
+def _null_rows(dataset, fit_cfg, seed, start, stop, pool) -> list[dict]:
+    """Null rows start .. stop - 1, each a {kind: row} dict of the VIP and the
+    MI row of one fit."""
+    kinds = (KIND_VIP, KIND_MI)
     nulls = permutation_null(dataset, kinds, stop, fit_cfg, seed, jobs=pool, start=start)
     return [dict(zip(kinds, rows)) for rows in zip(*nulls)]
 
@@ -258,11 +246,9 @@ def run_method(
 
     ``cache``, if given, belongs to this dataset: it keeps the replicate fits
     and the null rows across calls, and each call computes only the rows it
-    lacks. Both are keyed by the chain: the method's fit configuration
-    without ``track_mi``, and the seed. The MI log leaves a chain unchanged,
-    so MI and VIP points share fits. A fit with the log serves a request
-    without it; a request with it refits the cached fits that lack it and
-    replaces them. A null fit with the log fills both the VIP and the MI row.
+    lacks. Both are keyed by the chain, which is the method's fit
+    configuration and the seed, so methods on the same prior share fits.
+    Every fit keeps the MI sum, and every null row holds a VIP and an MI row.
 
     The replicate and the null fits share one pool of ``config.jobs``
     workers, shut down before this returns. ``workers``, an open holder the
@@ -275,8 +261,7 @@ def run_method(
     spec = METHOD_SPECS[config.method]
     l_rep = resolve_l_rep(config.method, config.l_rep)
     fit_cfg = config.fit_config()
-    needs_mi = fit_cfg.track_mi
-    chain = (replace(fit_cfg, track_mi=False), config.seed)
+    chain = (fit_cfg, config.seed)
     cache = {} if cache is None else cache
     t0 = time.perf_counter()
     null = None
@@ -285,22 +270,15 @@ def run_method(
         traces = _grow(
             cache.setdefault(chain, []),
             l_rep,
-            needs_mi,
-            lambda trace: trace.mi_features is not None,
             lambda start, stop: fit_replicates(
                 dataset, fit_cfg, config.seed, stop, jobs=pool, start=start
             ),
         )
         if spec.needs_null:
-            kinds = (KIND_VIP, KIND_MI) if needs_mi else (spec.perm_kind,)
             rows = _grow(
                 cache.setdefault((*chain, "null"), []),
                 config.l_perm,
-                needs_mi,
-                lambda row: KIND_MI in row,
-                lambda start, stop: _null_rows(
-                    dataset, fit_cfg, config.seed, kinds, start, stop, pool
-                ),
+                lambda start, stop: _null_rows(dataset, fit_cfg, config.seed, start, stop, pool),
             )
             null = np.stack([row[spec.perm_kind] for row in rows])
             perm_seeds = [

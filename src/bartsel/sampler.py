@@ -48,6 +48,7 @@ from .data import (
     FitConfig,
     PosteriorTrace,
 )
+from .summaries import mi_term
 
 __all__ = [
     "FitError",
@@ -541,8 +542,7 @@ class EnsembleSampler:
         sigma2_path = np.zeros(K)
         mean_path = np.zeros(K)
         leaf_counts = np.zeros((K, cfg.n_trees), dtype=np.int32)
-        mi_features: list[np.ndarray] | None = [] if cfg.track_mi else None
-        mi_probs: list[np.ndarray] | None = [] if cfg.track_mi else None
+        mi_sum = np.zeros(self.p) if cfg.track_mi else None
         alpha_path = np.zeros(K) if self.is_dart else None
         s_path = np.zeros((K, self.p)) if (self.is_dart and cfg.track_s_path) else None
 
@@ -559,15 +559,14 @@ class EnsembleSampler:
             mean_path[k] = float(yhat_scaled.mean()) * self.y_range + self.y_center
             for t, tree in enumerate(self.trees):
                 leaf_counts[k, t] = tree.n_leaves()
-            if cfg.track_mi:
+            if mi_sum is not None:
                 feats: list[int] = []
                 probs: list[float] = []
                 for tree in self.trees:
                     for i in tree.internal_ids():
                         feats.append(tree.feature[i])
                         probs.append(tree.accept_prob[i])
-                mi_features.append(np.asarray(feats, dtype=np.int64))
-                mi_probs.append(np.asarray(probs, dtype=np.float64))
+                mi_sum += mi_term(np.asarray(feats, dtype=np.int64), np.asarray(probs), self.p)
             if self.is_dart:
                 alpha_path[k] = self.alpha
                 if s_path is not None:
@@ -595,8 +594,7 @@ class EnsembleSampler:
             leaf_counts=leaf_counts,
             seed=cfg.seed,
             config_echo=echo,
-            mi_features=mi_features,
-            mi_probs=mi_probs,
+            mi_sum=mi_sum,
             alpha_path=alpha_path,
             s_path=s_path,
         )

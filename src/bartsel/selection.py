@@ -255,9 +255,9 @@ def permutation_null(
     equals the same rows of the full null.
 
     ``importance_kind`` is one kind, or a tuple of kinds for a tuple of
-    matrices, one per kind, read from the same fits. The MI log draws no
+    matrices, one per kind, read from the same fits. The MI sum draws no
     random number, so a permutation's VIP row is the same whether or not
-    its fit also logs MI.
+    its fit also keeps it.
 
     ``jobs`` is a worker count, for a pool that lives for this call only, or
     an open :class:`~bartsel.sampler.Workers`, which is used and left open.

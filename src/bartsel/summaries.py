@@ -37,6 +37,7 @@ __all__ = [
     "vc",
     "mpvip",
     "metropolis_importance",
+    "mi_term",
     "importance",
     "rank_descending",
     "build_summary_matrix",
@@ -115,27 +116,27 @@ def mpvip(trace: PosteriorTrace) -> ImportanceVector:
     return ImportanceVector(KIND_MPVIP, draws_using / trace.n_kept)
 
 
-def metropolis_importance(trace: PosteriorTrace) -> ImportanceVector:
-    """Normalized mean Metropolis acceptance probability per feature.
+def mi_term(features, probs, p: int) -> np.ndarray:
+    """One kept draw's term of the MI sum, from the split feature and the
+    acceptance tag of every internal node in the ensemble.
 
-    Per draw k: u_jk = mean acceptance tag over interior nodes splitting on
-    feature j (0 if none); the draw contributes u_jk / sum_i u_ik, or 0 for
-    every feature when the draw has no interior nodes.
-    """
-    if trace.mi_features is None or trace.mi_probs is None:
-        raise ValueError("MI logging was not enabled for this trace")
-    p = trace.p
-    acc = np.zeros(p)
-    for feats, probs in zip(trace.mi_features, trace.mi_probs):
-        if feats.size == 0:
-            continue
-        node_counts = np.bincount(feats, minlength=p).astype(np.float64)
-        prob_sums = np.bincount(feats, weights=probs, minlength=p)
-        u = np.divide(prob_sums, node_counts, out=np.zeros(p), where=node_counts > 0)
-        total = u.sum()
-        if total > 0:
-            acc += u / total
-    return ImportanceVector(KIND_MI, acc / trace.n_kept)
+    u_j is the mean tag over the nodes splitting on feature j (0 if none);
+    the term is u / sum_i u_i, or all zeros when the draw has no internal
+    node. The sampler and ``read_trace`` both add the terms through this
+    function, in draw order, so every MI sum has the same bits."""
+    node_counts = np.bincount(features, minlength=p).astype(np.float64)
+    prob_sums = np.bincount(features, weights=probs, minlength=p)
+    u = np.divide(prob_sums, node_counts, out=np.zeros(p), where=node_counts > 0)
+    total = u.sum()
+    return u / total if total > 0 else np.zeros(p)
+
+
+def metropolis_importance(trace: PosteriorTrace) -> ImportanceVector:
+    """Normalized mean Metropolis acceptance probability per feature: the
+    trace's MI sum (see :func:`mi_term`) over the number of kept draws."""
+    if trace.mi_sum is None:
+        raise ValueError("MI tracking was not enabled for this trace")
+    return ImportanceVector(KIND_MI, trace.mi_sum / trace.n_kept)
 
 
 _IMPORTANCE = {KIND_VIP: vip, KIND_VC: vc, KIND_MPVIP: mpvip, KIND_MI: metropolis_importance}

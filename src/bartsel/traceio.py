@@ -1,13 +1,13 @@
 """File formats: dataset CSV ingestion, the portable trace binary, results
 JSON documents, and the benchmark metrics/aggregate CSVs.
 
-Trace binary layout (magic "BVC1", version 2), all integers little-endian:
+Trace binary layout (magic "BVC1", version 3), all integers little-endian:
 
     bytes 0-3   magic b"BVC1"
-    byte  4     format version (0x02)
+    byte  4     format version (0x03)
     bytes 5-8   uint32 header length H
     bytes 9-    H bytes of UTF-8 JSON header: n_kept, p, nnz, n_trees, seed,
-                config echo, presence flags, and per-draw MI node counts
+                config echo and presence flags
     then raw arrays, in order, with fixed dtypes:
                 draw_ptr      int64   n_kept + 1
                 feature       int32   nnz
@@ -17,16 +17,22 @@ Trace binary layout (magic "BVC1", version 2), all integers little-endian:
                 leaf_counts   int32   n_kept x n_trees
                 alpha_path    float64 n_kept            (if present)
                 s_path        float64 n_kept x p        (if present)
-                mi_features   int64   total MI nodes    (if present)
-                mi_probs      float64 total MI nodes    (if present)
+                mi_sum        float64 p                 (if present)
 
 The first three arrays are the split counts in CSR form (see
 ``PosteriorTrace``): draw k's nonzero entries are draw_ptr[k]:draw_ptr[k+1],
 their features ascend and their counts are positive; ``read_trace`` rejects a
-file that breaks any of this. Version 1 stored the counts dense, as an int64
-n_kept x p matrix followed by a uint8 n_kept x p inclusion matrix (counts >
-0), and had no nnz; ``read_trace`` still reads it, and ``write_trace`` writes
-version 2 only.
+file that breaks any of this. ``write_trace`` writes version 3 only;
+``read_trace`` still reads the two earlier versions:
+
+* Version 2 had the same layout, but in place of the MI sum it kept a
+  per-draw MI log: a header list ``mi_sizes`` of each draw's internal-node
+  count and two blocks, ``mi_features`` (int64) and ``mi_probs`` (float64),
+  of sum(mi_sizes) entries each. ``read_trace`` folds the log into the sum
+  through ``summaries.mi_term``, draw by draw, as the sampler adds it.
+* Version 1 was version 2 with the counts stored dense, as an int64
+  n_kept x p matrix followed by a uint8 n_kept x p inclusion matrix
+  (counts > 0), and no nnz.
 
 Timestamps are deliberately excluded so identical fits produce identical
 bytes.
@@ -47,6 +53,7 @@ import numpy as np
 from .benchmark import GridPoint, GridRowResult, MetricsRecord
 from .data import DataError, Dataset, FitConfig, PosteriorTrace, validate_dataset
 from .methods import METHOD_SPECS, MethodResult, resolve_l_rep
+from .summaries import mi_term
 
 __all__ = [
     "TraceFormatError",
@@ -68,7 +75,7 @@ __all__ = [
 ]
 
 TRACE_MAGIC = b"BVC1"
-TRACE_VERSION = 2
+TRACE_VERSION = 3
 
 
 class TraceFormatError(RuntimeError):
@@ -287,31 +294,28 @@ def _blocks(header: dict, version: int) -> list[tuple[str, str, tuple[int, ...]]
     if header["has_s"]:
         blocks.append(("s_path", "<f8", (n_kept, p)))
     if header["has_mi"]:
-        total = sum(header["mi_sizes"])
-        blocks += [("mi_features", "<i8", (total,)), ("mi_probs", "<f8", (total,))]
+        if version == TRACE_VERSION:
+            blocks.append(("mi_sum", "<f8", (p,)))
+        else:
+            total = sum(header["mi_sizes"])
+            blocks += [("mi_features", "<i8", (total,)), ("mi_probs", "<f8", (total,))]
     return blocks
 
 
 def write_trace(trace: PosteriorTrace, path) -> None:
-    """Write ``trace`` as a version-2 trace file (see the module docstring)."""
+    """Write ``trace`` as a version-3 trace file (see the module docstring)."""
     path = Path(path)
-    has_mi = trace.mi_features is not None
     header = {
         "n_kept": trace.n_kept,
         "p": int(trace.p),
         "n_trees": int(trace.leaf_counts.shape[1]),
         "seed": int(trace.seed),
         "config": trace.config_echo,
-        "has_mi": has_mi,
+        "has_mi": trace.mi_sum is not None,
         "has_alpha": trace.alpha_path is not None,
         "has_s": trace.s_path is not None,
-        "mi_sizes": [int(a.size) for a in trace.mi_features] if has_mi else None,
         "nnz": int(trace.count.size),
     }
-    arrays = {}
-    if has_mi:
-        arrays["mi_features"] = np.concatenate([np.zeros(0, dtype=np.int64), *trace.mi_features])
-        arrays["mi_probs"] = np.concatenate([np.zeros(0), *trace.mi_probs])
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with path.open("wb") as fh:
         fh.write(TRACE_MAGIC)
@@ -319,14 +323,12 @@ def write_trace(trace: PosteriorTrace, path) -> None:
         fh.write(struct.pack("<I", len(header_bytes)))
         fh.write(header_bytes)
         for name, dtype, _ in _blocks(header, TRACE_VERSION):
-            value = arrays[name] if name in arrays else getattr(trace, name)
-            fh.write(np.ascontiguousarray(value, dtype=dtype))
+            fh.write(np.ascontiguousarray(getattr(trace, name), dtype=dtype))
 
 
-# every key write_trace puts in the header, less version 2's "nnz"
-_HEADER_KEYS = (
-    "n_kept", "p", "n_trees", "seed", "config", "has_mi", "has_alpha", "has_s", "mi_sizes"
-)
+# every key write_trace puts in the header, less "nnz", which versions 2 and
+# 3 add, and "mi_sizes", which versions 1 and 2 add
+_HEADER_KEYS = ("n_kept", "p", "n_trees", "seed", "config", "has_mi", "has_alpha", "has_s")
 
 
 def _check_header(header, version: int, path: Path) -> None:
@@ -334,7 +336,8 @@ def _check_header(header, version: int, path: Path) -> None:
     if not isinstance(header, dict):
         raise TraceFormatError(f"{path}: header is not a JSON object")
     extra = ("nnz",) if version >= 2 else ()
-    missing = [key for key in _HEADER_KEYS + extra if key not in header]
+    old_mi = ("mi_sizes",) if version < 3 else ()
+    missing = [key for key in _HEADER_KEYS + extra + old_mi if key not in header]
     if missing:
         raise TraceFormatError(f"{path}: header lacks {', '.join(missing)}")
     for key in ("n_kept", "p", "n_trees", *extra):
@@ -343,12 +346,25 @@ def _check_header(header, version: int, path: Path) -> None:
             raise TraceFormatError(f"{path}: header {key} must be an integer >= 0, got {value!r}")
     if type(header["seed"]) is not int:
         raise TraceFormatError(f"{path}: header seed must be an integer, got {header['seed']!r}")
-    sizes = header["mi_sizes"]
-    if header["has_mi"]:
+    if old_mi and header["has_mi"]:
+        sizes = header["mi_sizes"]
         if not (isinstance(sizes, list) and all(type(size) is int and size >= 0 for size in sizes)):
             raise TraceFormatError(f"{path}: header mi_sizes must be a list of integers >= 0")
         if len(sizes) != header["n_kept"]:
             raise TraceFormatError(f"{path}: MI size table has {len(sizes)} entries")
+
+
+def _fold_mi_log(header: dict, features: np.ndarray, probs: np.ndarray, path: Path) -> np.ndarray:
+    """The MI sum of a version 1 or 2 per-draw MI log."""
+    p = header["p"]
+    if features.size and not (features.min() >= 0 and features.max() < p):
+        raise TraceFormatError(f"{path}: MI feature outside 0..{p - 1}")
+    mi_sum = np.zeros(p)
+    start = 0
+    for size in header["mi_sizes"]:
+        mi_sum += mi_term(features[start : start + size], probs[start : start + size], p)
+        start += size
+    return mi_sum
 
 
 def _check_split_counts(trace: PosteriorTrace, path: Path) -> None:
@@ -368,16 +384,17 @@ def _check_split_counts(trace: PosteriorTrace, path: Path) -> None:
 
 
 def read_trace(path) -> PosteriorTrace:
-    """Read a trace file of version 1 or 2. Each array is read once, straight
-    from the file; a version-1 dense count matrix is checked against its
-    inclusion block and converted to CSR."""
+    """Read a trace file of version 1, 2 or 3. Each array is read once,
+    straight from the file; a version-1 dense count matrix is checked against
+    its inclusion block and converted to CSR, and the per-draw MI log of
+    versions 1 and 2 is folded into the MI sum."""
     path = Path(path)
     with path.open("rb") as fh:
         lead = fh.read(9)
         if len(lead) < 9 or lead[:4] != TRACE_MAGIC:
             raise TraceFormatError(f"{path}: not a trace file (bad magic)")
         version = lead[4]
-        if version not in (1, TRACE_VERSION):
+        if version not in (1, 2, TRACE_VERSION):
             raise TraceFormatError(f"{path}: unsupported trace version {version}")
         (header_len,) = struct.unpack_from("<I", lead, 5)
         try:
@@ -397,19 +414,15 @@ def read_trace(path) -> PosteriorTrace:
             arrays[name] = arr = np.empty(shape, dtype=dtype)
             if fh.readinto(arr) != arr.nbytes:
                 raise TraceFormatError(f"{path}: truncated payload in {name}")
-    if header["has_mi"]:
-        ends = np.cumsum(header["mi_sizes"]).tolist()
-        for name in ("mi_features", "mi_probs"):
-            flat = arrays[name]
-            arrays[name] = [flat[a:b] for a, b in zip([0] + ends, ends)]
+    if "mi_features" in arrays:
+        arrays["mi_sum"] = _fold_mi_log(header, arrays["mi_features"], arrays["mi_probs"], path)
     rest = dict(
         sigma2_path=arrays["sigma2_path"],
         insample_mean_path=arrays["insample_mean_path"],
         leaf_counts=arrays["leaf_counts"],
         seed=header["seed"],
         config_echo=header["config"],
-        mi_features=arrays.get("mi_features"),
-        mi_probs=arrays.get("mi_probs"),
+        mi_sum=arrays.get("mi_sum"),
         alpha_path=arrays.get("alpha_path"),
         s_path=arrays.get("s_path"),
     )

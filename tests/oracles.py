@@ -267,27 +267,71 @@ def dense_mpvip(counts: np.ndarray) -> np.ndarray:
     return (np.asarray(counts) > 0).mean(axis=0)
 
 
-def write_trace_v1(trace, path) -> None:
+def mi_from_log(p: int, mi_features, mi_probs) -> np.ndarray:
+    """MI from a per-draw node log, as the package computed it when traces
+    kept the log: per draw, bincount the tags by feature, divide by the node
+    counts and normalise; draws without nodes, or with zero tags, are
+    skipped."""
+    acc = np.zeros(p)
+    for feats, probs in zip(mi_features, mi_probs):
+        if feats.size == 0:
+            continue
+        node_counts = np.bincount(feats, minlength=p).astype(np.float64)
+        prob_sums = np.bincount(feats, weights=probs, minlength=p)
+        u = np.divide(prob_sums, node_counts, out=np.zeros(p), where=node_counts > 0)
+        total = u.sum()
+        if total > 0:
+            acc += u / total
+    return acc / len(mi_features)
+
+
+def mi_log_by_steps(dataset, config):
+    """Drive ``EnsembleSampler.step`` through ``config``'s sweeps and read,
+    after each kept sweep, the split feature and acceptance tag of every
+    internal node: the per-draw MI node log (features, tags) of
+    ``fit(dataset, config)``."""
+    sampler = EnsembleSampler(dataset, config)
+    features, tags = [], []
+    for it in range(config.burn_in + config.n_draws):
+        sampler.step()
+        if it >= config.burn_in:
+            nodes = [(tree, i) for tree in sampler.trees for i in tree.internal_ids()]
+            features.append(np.array([tree.feature[i] for tree, i in nodes], dtype=np.int64))
+            tags.append(np.array([tree.accept_prob[i] for tree, i in nodes], dtype=np.float64))
+    return features, tags
+
+
+def write_trace_v1(trace, path, mi_log=None) -> None:
     """Write ``trace`` in the version-1 layout: dense int64 counts and a
-    uint8 inclusion matrix in place of the CSR arrays, no nnz."""
-    has_mi = trace.mi_features is not None
+    uint8 inclusion matrix in place of the CSR arrays, no nnz, and the
+    per-draw MI node log ``mi_log`` = (features, tags) if given."""
+    counts = trace.counts
+    _write_old_trace(trace, path, 1, [(counts, "<i8"), (counts > 0, "u1")], mi_log)
+
+
+def write_trace_v2(trace, path, mi_log=None) -> None:
+    """Write ``trace`` in the version-2 layout: the CSR arrays, and the
+    per-draw MI node log ``mi_log`` = (features, tags) if given."""
+    csr = [(trace.draw_ptr, "<i8"), (trace.feature, "<i4"), (trace.count, "<i4")]
+    _write_old_trace(trace, path, 2, csr, mi_log, nnz=int(trace.count.size))
+
+
+def _write_old_trace(trace, path, version, count_arrays, mi_log, **extra) -> None:
     header = {
         "n_kept": trace.n_kept,
         "p": trace.p,
         "n_trees": int(trace.leaf_counts.shape[1]),
         "seed": int(trace.seed),
         "config": trace.config_echo,
-        "has_mi": has_mi,
+        "has_mi": mi_log is not None,
         "has_alpha": trace.alpha_path is not None,
         "has_s": trace.s_path is not None,
-        "mi_sizes": [int(a.size) for a in trace.mi_features] if has_mi else None,
+        "mi_sizes": None if mi_log is None else [len(a) for a in mi_log[0]],
+        **extra,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    parts = [b"BVC1", bytes([1]), struct.pack("<I", len(header_bytes)), header_bytes]
-    counts = trace.counts
-    arrays = [
-        (counts, "<i8"),
-        (counts > 0, "u1"),
+    parts = [b"BVC1", bytes([version]), struct.pack("<I", len(header_bytes)), header_bytes]
+    arrays = count_arrays + [
         (trace.sigma2_path, "<f8"),
         (trace.insample_mean_path, "<f8"),
         (trace.leaf_counts, "<i4"),
@@ -296,9 +340,10 @@ def write_trace_v1(trace, path) -> None:
         arrays.append((trace.alpha_path, "<f8"))
     if trace.s_path is not None:
         arrays.append((trace.s_path, "<f8"))
-    if has_mi:
-        arrays.append((np.concatenate([np.zeros(0, dtype=np.int64), *trace.mi_features]), "<i8"))
-        arrays.append((np.concatenate([np.zeros(0), *trace.mi_probs]), "<f8"))
+    if mi_log is not None:
+        features, tags = mi_log
+        arrays.append((np.concatenate([np.zeros(0, dtype=np.int64), *features]), "<i8"))
+        arrays.append((np.concatenate([np.zeros(0), *tags]), "<f8"))
     parts += [np.ascontiguousarray(arr, dtype=dtype).tobytes() for arr, dtype in arrays]
     Path(path).write_bytes(b"".join(parts))
 

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conftest import random_trace
+from conftest import mi_sum_of, random_mi_log, random_trace
 from oracles import (
     LeafSufficientStats,
     gse_cstar_bisection,
@@ -225,13 +225,15 @@ def test_criterion_5_summary_formulas():
     for _ in range(100):
         k = int(rng.integers(1, 12))
         p = int(rng.integers(1, 8))
-        trace = random_trace(rng, k, p, with_mi=True)
+        features, tags = random_mi_log(rng, k, p)
+        trace = random_trace(rng, k, p)
+        trace.mi_sum = mi_sum_of(p, features, tags)
         max_err = max(max_err, float(np.abs(vip(trace).values - vip_by_hand(trace.counts)).max()))
         max_err = max(max_err, float(np.abs(vc(trace).values - vc_by_hand(trace.counts)).max()))
         max_err = max(
             max_err, float(np.abs(mpvip(trace).values - mpvip_by_hand(trace.counts)).max())
         )
-        mi_hand = mi_by_hand(p, trace.mi_features, trace.mi_probs)
+        mi_hand = mi_by_hand(p, features, tags)
         max_err = max(
             max_err, float(np.abs(metropolis_importance(trace).values - mi_hand).max())
         )

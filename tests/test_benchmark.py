@@ -503,7 +503,7 @@ def count_fits(monkeypatch) -> dict:
 
 
 class TestOneFitPerChain:
-    """The MI log leaves a chain unchanged, so MI and VIP points share fits."""
+    """Every fit keeps the MI sum, so MI and VIP points share fits."""
 
     @pytest.mark.parametrize("mi_first", [True, False], ids=["mi-first", "mi-last"])
     def test_grid_fits_each_chain_once(self, monkeypatch, mi_first):
@@ -525,7 +525,7 @@ class TestOneFitPerChain:
         rows = run_grid([bad, fast_point(method="bart-vip-local", l_rep=2, l_perm=3)])
         assert rows[0].error.startswith("TypeError") and rows[1].error is None
 
-    def test_mi_request_refits_a_cache_filled_without_the_log(self, monkeypatch):
+    def test_mi_and_vip_requests_grow_one_cache(self, monkeypatch):
         dataset = generate_dataset(REGISTRY["product2"], 40, 5.0, 1, seed=3)
         fit_cfg = fast_point().fit_config()
         vip = RunConfig(method="bart-vip-local", fit=fit_cfg, l_rep=2, l_perm=3, seed=4)
@@ -538,10 +538,10 @@ class TestOneFitPerChain:
         # (request, replicate and null fits it runs on the shared cache)
         steps = [
             (vip, (2, 3)),
-            (mi, (3, 4)),  # none of the cached fits has the log: all are refitted
-            (dataclasses.replace(vip, l_rep=3, l_perm=4), (0, 0)),  # served by the refits
+            (mi, (1, 1)),  # the VIP request's fits carry MI: only the missing rows run
+            (dataclasses.replace(vip, l_rep=3, l_perm=4), (0, 0)),
             (vip_more, (1, 1)),
-            (mi_more, (1, 1)),  # only the fits after the logged ones are refitted
+            (mi_more, (0, 0)),
         ]
         for config, (n_rep, n_null) in steps:
             before = dict(calls)

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conftest import make_trace, random_trace
-from oracles import write_trace_v1
+from conftest import make_trace, mi_sum_of, random_mi_log, random_trace
+from oracles import mi_log_by_steps, write_trace_v1, write_trace_v2
 import bartsel
 from bartsel.benchmark import GridPoint, GridRowResult, compute_metrics
 from bartsel.cli import _jobs_value, main
@@ -109,19 +109,19 @@ class TestTraceFile:
         write_trace(trace, path)
         loaded = read_trace(path)
         assert loaded == trace
-        assert loaded.mi_features is None and loaded.alpha_path is None
+        assert loaded.mi_sum is None and loaded.alpha_path is None
         assert loaded.counts.dtype == np.int64
         assert loaded.leaf_counts.dtype == np.int32
 
     def test_empty_mi_draw_round_trips(self, tmp_path):
-        trace = random_trace(np.random.default_rng(2), k=3, p=2, with_mi=True)
-        trace.mi_features[1] = np.zeros(0, dtype=np.int64)
-        trace.mi_probs[1] = np.zeros(0)
+        rng = np.random.default_rng(2)
+        features, tags = random_mi_log(rng, 3, 2)
+        features[1], tags[1] = np.zeros(0, dtype=np.int64), np.zeros(0)
+        trace = make_trace(rng.integers(0, 5, size=(3, 2)), mi_features=features, mi_probs=tags)
         path = tmp_path / "t.trace"
-        write_trace(trace, path)
-        loaded = read_trace(path)
-        assert loaded == trace
-        assert loaded.mi_features[1].size == 0
+        for write in (write_trace, lambda t, out: write_trace_v2(t, out, (features, tags))):
+            write(trace, path)
+            assert read_trace(path) == trace
 
     def write_valid(self, tmp_path):
         trace = random_trace(np.random.default_rng(3), k=4, p=2)
@@ -163,7 +163,6 @@ class TestTraceFile:
             (lambda header: list(header), "header is not a JSON object"),
             (lambda header: {**header, "n_kept": -1}, "n_kept must be an integer >= 0, got -1"),
             (lambda header: {**header, "seed": None}, "seed must be an integer, got None"),
-            (lambda header: {**header, "has_mi": True}, "mi_sizes must be a list of integers >= 0"),
         ],
     )
     def test_malformed_header_named(self, tmp_path, edit, message):
@@ -206,7 +205,8 @@ def v1_fixture_fit():
 
 
 def split_blocks(buf: bytes):
-    """(lead and header, draw_ptr, feature, count, rest) of a version-2 file."""
+    """(lead and header, draw_ptr, feature, count, rest) of a version-2 or
+    version-3 file."""
     header_len = int.from_bytes(buf[5:9], "little")
     header = json.loads(buf[9 : 9 + header_len])
     pos = 9 + header_len
@@ -227,8 +227,14 @@ class TestTraceVersions:
         assert loaded.draw_ptr[1] == 0 and loaded.n_kept == 16 and loaded.p == 4
         path = tmp_path / "t.trace"
         write_trace(loaded, path)
-        assert path.read_bytes()[4] == 2
+        assert path.read_bytes()[4] == 3
         assert read_trace(path) == want
+
+    def test_version_2_fixture_reads_back(self):
+        # written from the same fit by the version-2 writer, MI log included
+        loaded = read_trace(FIXTURES / "trace-v2.bvc")
+        assert (FIXTURES / "trace-v2.bvc").read_bytes()[4] == 2
+        assert loaded == v1_fixture_fit() == read_trace(FIXTURES / "trace-v1.bvc")
 
     def test_version_1_count_above_int32_named(self, tmp_path):
         path = tmp_path / "t.trace"
@@ -242,13 +248,15 @@ class TestTraceVersions:
 
     def test_version_1_layout_reads_as_csr(self, tmp_path):
         rng = np.random.default_rng(9)
-        for with_mi in (False, True):
-            trace = random_trace(rng, k=6, p=4, with_mi=with_mi)
+        for mi_log in (None, random_mi_log(rng, 6, 4)):
+            trace = random_trace(rng, k=6, p=4)
+            if mi_log is not None:
+                trace.mi_sum = mi_sum_of(4, *mi_log)
             path = tmp_path / "t.trace"
-            write_trace_v1(trace, path)
+            write_trace_v1(trace, path, mi_log)
             assert read_trace(path) == trace
 
-    @pytest.mark.parametrize(
+    FITS = pytest.mark.parametrize(
         "config",
         [
             FitConfig(n_trees=3, burn_in=10, n_draws=12, seed=1),
@@ -259,24 +267,70 @@ class TestTraceVersions:
         ],
         ids=["bart", "dart-mi-s-path"],
     )
+
+    @FITS
     def test_version_2_round_trips_a_fit(self, tmp_path, signal_dataset, config):
+        # the reader folds the fit's per-draw MI log into the sampler's sum
+        trace = bartsel.fit(signal_dataset, config)
+        mi_log = mi_log_by_steps(signal_dataset, config) if config.track_mi else None
+        path = tmp_path / "t.trace"
+        write_trace_v2(trace, path, mi_log)
+        assert read_trace(path) == trace
+
+    @FITS
+    def test_version_3_round_trips_a_fit(self, tmp_path, signal_dataset, config):
         trace = bartsel.fit(signal_dataset, config)
         path = tmp_path / "t.trace"
         write_trace(trace, path)
         assert read_trace(path) == trace
-        # the payload is the CSR arrays and the paths: no inclusion block
+        # the payload is the CSR arrays, the paths and the MI sum
         k, nnz, p = trace.n_kept, trace.count.size, trace.p
         payload = 8 * (k + 1) + 4 * nnz + 4 * nnz + 8 * k + 8 * k + 4 * k * config.n_trees
         if config.prior_kind == "dart":
             payload += 8 * k + 8 * k * p
         if config.track_mi:
-            payload += 16 * sum(a.size for a in trace.mi_features)
+            payload += 8 * p
         header_len = int.from_bytes(path.read_bytes()[5:9], "little")
         assert path.stat().st_size == 9 + header_len + payload
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda header: header.update(mi_sizes=None), "mi_sizes must be a list of integers"),
+            (lambda header: header.update(mi_sizes=[1, -1, 0]), "mi_sizes must be a list of"),
+            (lambda header: header.update(mi_sizes=[1]), "MI size table has 1 entries"),
+            (lambda header: header.pop("mi_sizes"), "header lacks mi_sizes"),
+        ],
+    )
+    def test_version_2_malformed_mi_log_header_named(self, tmp_path, edit, message):
+        trace = make_trace([[1, 0], [0, 2], [0, 0]], mi_features=[[0], [1, 1], []],
+                           mi_probs=[[0.5], [1.0, 0.25], []])
+        path = tmp_path / "t.trace"
+        write_trace_v2(trace, path, ([[0], [1, 1], []], [[0.5], [1.0, 0.25], []]))
+        buf = path.read_bytes()
+        header_len = int.from_bytes(buf[5:9], "little")
+        header = json.loads(buf[9 : 9 + header_len])
+        edit(header)
+        header_bytes = json.dumps(header).encode("utf-8")
+        path.write_bytes(
+            buf[:5] + len(header_bytes).to_bytes(4, "little") + header_bytes + buf[9 + header_len :]
+        )
+        with pytest.raises(TraceFormatError, match=re.escape(message)):
+            read_trace(path)
+
+    def test_version_2_mi_feature_out_of_range_named(self, tmp_path):
+        trace = make_trace([[1, 0]], mi_features=[[0]], mi_probs=[[0.5]])
+        path = tmp_path / "t.trace"
+        write_trace_v2(trace, path, ([[2]], [[0.5]]))
+        with pytest.raises(TraceFormatError, match=re.escape("MI feature outside 0..1")):
+            read_trace(path)
+
     def test_draws_without_splits_round_trip(self, tmp_path):
-        for counts in (np.zeros((3, 2), dtype=int), [[0, 0, 0], [2, 0, 1], [0, 0, 0]]):
-            mi = {"mi_features": [[], [0, 0, 2], []], "mi_probs": [[], [1.0, 0.5, 0.25], []]}
+        for counts, nodes in (
+            (np.zeros((3, 2), dtype=int), []),
+            ([[0, 0, 0], [2, 0, 1], [0, 0, 0]], [0, 0, 2]),
+        ):
+            mi = {"mi_features": [[], nodes, []], "mi_probs": [[], [1.0, 0.5, 0.25][: len(nodes)], []]}
             trace = make_trace(counts, **mi)
             path = tmp_path / "t.trace"
             write_trace(trace, path)

@@ -109,8 +109,7 @@ def full_trace() -> PosteriorTrace:
         leaf_counts=np.array([[2, 3], [3, 2]], dtype=np.int32),
         seed=7,
         config_echo={"n_trees": 2},
-        mi_features=[np.array([0, 2, 2]), np.array([1, 2])],
-        mi_probs=[np.array([1.0, 0.5, 0.25]), np.array([0.75, 1.0])],
+        mi_sum=np.array([0.5, 0.25, 1.25]),
         alpha_path=np.array([3.0, 2.5]),
         s_path=np.array([[0.2, 0.3, 0.5], [0.1, 0.1, 0.8]]),
     )
@@ -122,10 +121,6 @@ def altered_values(value) -> list:
         bumped = value.copy()
         bumped.flat[0] += 1
         return [bumped, value.reshape(-1, 1)]
-    if isinstance(value, list):
-        bumped = [a.copy() for a in value]
-        bumped[-1].flat[0] += 1
-        return [bumped, value[:-1]]
     if isinstance(value, dict):
         return [{**value, "n_trees": 3}]
     return [value + 1]
@@ -135,7 +130,7 @@ class TestPosteriorTraceEquality:
     def test_deep_copy_is_equal(self):
         assert full_trace() == copy.deepcopy(full_trace())
         bare = dataclasses.replace(
-            full_trace(), mi_features=None, mi_probs=None, alpha_path=None, s_path=None
+            full_trace(), mi_sum=None, alpha_path=None, s_path=None
         )
         assert bare == copy.deepcopy(bare)
         assert bare != full_trace() and full_trace() != bare

@@ -22,6 +22,7 @@ from bartsel import (
     calibrate_lambda,
     fit,
     leaf_posterior,
+    metropolis_importance,
     p_split,
     sample_alpha,
     sample_sigma2,
@@ -36,6 +37,8 @@ from oracles import (
     MaskScanSampler,
     alpha_log_weights,
     merged,
+    mi_from_log,
+    mi_log_by_steps,
     routed_rows,
     sample_leaf_value,
     split_counts,
@@ -581,17 +584,23 @@ class TestSamplerSweeps:
         assert mean_vip.max() / mean_vip.min() < 3.0
 
     def test_mi_log_shapes(self):
+        # the per-draw node tags, read from the trees after each kept step
         ds = make_regression(seed=28)
-        trace = fit(ds, FitConfig(n_trees=4, burn_in=30, n_draws=20, track_mi=True, seed=7))
-        assert trace.mi_features is not None and trace.mi_probs is not None
-        assert len(trace.mi_features) == trace.n_kept
-        for f, pr in zip(trace.mi_features, trace.mi_probs):
+        cfg = FitConfig(n_trees=4, burn_in=30, n_draws=20, track_mi=True, seed=7)
+        features, tags = mi_log_by_steps(ds, cfg)
+        trace = fit(ds, cfg)
+        assert len(features) == trace.n_kept
+        for f, pr in zip(features, tags):
             assert f.shape == pr.shape
             assert np.all((0 <= f) & (f < ds.p))
-            assert np.all((0.0 <= pr) & (pr <= 1.0))
-            # node tags cover exactly the internal nodes of that draw
-        tag_totals = np.array([f.size for f in trace.mi_features])
+            assert np.all((0.0 < pr) & (pr <= 1.0))
+        # node tags cover exactly the internal nodes of that draw
+        tag_totals = np.array([f.size for f in features])
         assert np.array_equal(tag_totals, trace.counts.sum(axis=1))
+        # the running sum has the bits of the per-draw log formula
+        assert trace.mi_sum.shape == (ds.p,)
+        mi = metropolis_importance(trace).values
+        assert np.array_equal(mi, mi_from_log(ds.p, features, tags))
 
     @pytest.mark.parametrize("prior", ["bart", "dart"])
     def test_mi_log_draws_no_random_number(self, prior):
@@ -601,13 +610,11 @@ class TestSamplerSweeps:
             n_trees=4, burn_in=30, n_draws=20, prior_kind=prior, track_s_path=True, seed=7
         )
         plain = fit(ds, cfg)
-        logged = fit(ds, dataclasses.replace(cfg, track_mi=True))
-        assert plain.mi_features is None and logged.mi_features
-        assert logged.config_echo == {**plain.config_echo, "track_mi": True}
-        unlogged = dataclasses.replace(
-            logged, mi_features=None, mi_probs=None, config_echo=plain.config_echo
-        )
-        assert unlogged == plain
+        tracked = fit(ds, dataclasses.replace(cfg, track_mi=True))
+        assert plain.mi_sum is None and tracked.mi_sum.sum() > 0
+        assert tracked.config_echo == {**plain.config_echo, "track_mi": True}
+        untracked = dataclasses.replace(tracked, mi_sum=None, config_echo=plain.config_echo)
+        assert untracked == plain
 
     def test_insample_mean_tracks_response_scale(self):
         ds = make_regression(seed=29)

@@ -26,8 +26,8 @@ from bartsel import (
 )
 from bartsel.summaries import SOURCE_VC_MEASURE, SOURCE_VIP_MEASURE, SOURCE_VIP_RANK, importance
 
-from conftest import make_trace, random_trace
-from oracles import dense_mpvip, dense_vc, dense_vip, write_trace_v1
+from conftest import make_trace, random_mi_log, random_trace
+from oracles import dense_mpvip, dense_vc, dense_vip, mi_from_log, write_trace_v1
 
 
 def vip_by_hand(counts: np.ndarray) -> np.ndarray:
@@ -201,16 +201,21 @@ class TestMetropolisImportance:
 
     def test_missing_log_rejected(self):
         trace = make_trace([[1, 0]])
-        with pytest.raises(ValueError, match="MI logging was not enabled"):
+        with pytest.raises(ValueError, match="MI tracking was not enabled"):
             metropolis_importance(trace)
 
     def test_matches_hand_formula(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
-            p = int(rng.integers(1, 6))
-            trace = random_trace(rng, k=int(rng.integers(1, 8)), p=p, with_mi=True)
-            want = mi_by_hand(p, trace.mi_features, trace.mi_probs)
+            p, k = int(rng.integers(1, 6)), int(rng.integers(1, 8))
+            features, tags = random_mi_log(rng, k, p)
+            trace = make_trace(
+                rng.integers(0, 5, size=(k, p)), mi_features=features, mi_probs=tags
+            )
+            want = mi_by_hand(p, features, tags)
             np.testing.assert_allclose(metropolis_importance(trace).values, want, atol=1e-12)
+            # the sum of per-draw terms has the bits of the per-draw log formula
+            assert np.array_equal(metropolis_importance(trace).values, mi_from_log(p, features, tags))
             # the by-kind lookup returns exactly what each summary returns
             for kind, summary in (
                 ("vip", vip), ("vc", vc), ("mpvip", mpvip), ("mi", metropolis_importance)
