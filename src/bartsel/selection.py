@@ -9,6 +9,11 @@ implemented here directly so tie-breaking (smallest pair index) is pinned.
 The permutation route compares observed importances against nulls obtained
 by refitting on permuted responses, using per-feature quantiles (Local),
 a global SD multiplier (G.SE), or the per-permutation maximum (G.Max).
+
+No evidence, no selection: every threshold rule also requires an observed
+importance above 0, so a feature that no kept draw splits on is never
+selected, even where its null and threshold are 0 too; a two-cluster cut
+whose clusters have equal means selects nothing.
 """
 
 from __future__ import annotations
@@ -175,8 +180,9 @@ def cluster_select(matrix: SummaryMatrix) -> SelectionResult:
     log1p is applied elementwise, columns are standardized (zero-variance
     columns become all zeros), rows are clustered by UPGMA and cut into two
     groups. The group with the larger mean of raw column 1 is selected;
-    for the rank-only source the smaller mean rank wins. Equal means fall
-    back to the cluster containing the first feature.
+    for the rank-only source the smaller mean rank wins. Equal means leave
+    nothing to separate: the selection is empty (``no_selection``), with
+    the ``tie`` diagnostic set and ``winner`` None.
     """
     Z = np.asarray(matrix.Z, dtype=np.float64)
     p = Z.shape[0]
@@ -193,7 +199,7 @@ def cluster_select(matrix: SummaryMatrix) -> SelectionResult:
     mean1 = float(col0[labels == 1].mean())
     rank_source = matrix.source_kind == SOURCE_VIP_RANK
     if mean0 == mean1:
-        winner = int(labels[0])
+        winner = None
     elif rank_source:
         winner = 0 if mean0 < mean1 else 1
     else:
@@ -294,13 +300,20 @@ def _check_threshold_args(observed: np.ndarray, null: np.ndarray, alpha: float) 
         )
 
 
+def _above(q: np.ndarray, thr) -> frozenset[int]:
+    """1-based indices of the features at or above their threshold whose
+    observed importance is above 0."""
+    return frozenset(int(j) + 1 for j in np.flatnonzero((q >= thr) & (q > 0.0)))
+
+
 def threshold_local(observed, null: np.ndarray, alpha: float) -> SelectionResult:
-    """Select features at or above the per-feature (1-alpha) null quantile."""
+    """Select features at or above the per-feature (1-alpha) null quantile,
+    with observed importance above 0."""
     q = _as_observed(observed)
     null = np.asarray(null, dtype=np.float64)
     _check_threshold_args(q, null, alpha)
     thr = np.quantile(null, 1.0 - alpha, axis=0)
-    selected = frozenset(int(j) + 1 for j in np.flatnonzero(q >= thr))
+    selected = _above(q, thr)
     return SelectionResult(
         selected=selected,
         method="local",
@@ -312,13 +325,14 @@ def threshold_local(observed, null: np.ndarray, alpha: float) -> SelectionResult
 
 def threshold_gmax(observed, null: np.ndarray, alpha: float) -> SelectionResult:
     """Select features at or above the (1-alpha) quantile of per-permutation
-    maxima (the most stringent of the three criteria)."""
+    maxima (the most stringent of the three criteria), with observed
+    importance above 0."""
     q = _as_observed(observed)
     null = np.asarray(null, dtype=np.float64)
     _check_threshold_args(q, null, alpha)
     maxima = null.max(axis=1)
     thr = float(np.quantile(maxima, 1.0 - alpha))
-    selected = frozenset(int(j) + 1 for j in np.flatnonzero(q >= thr))
+    selected = _above(q, thr)
     return SelectionResult(
         selected=selected,
         method="gmax",
@@ -329,7 +343,8 @@ def threshold_gmax(observed, null: np.ndarray, alpha: float) -> SelectionResult:
 
 
 def threshold_gse(observed, null: np.ndarray, alpha: float) -> SelectionResult:
-    """Select features at or above mean + C* x SD of their null column.
+    """Select features at or above mean + C* x SD of their null column, with
+    observed importance above 0.
 
     C* is the smallest C >= 0 such that every column j with positive sample
     SD has null coverage P_hat(q*_j <= m_j + C s_j) > 1 - alpha; it is found
@@ -371,7 +386,7 @@ def threshold_gse(observed, null: np.ndarray, alpha: float) -> SelectionResult:
     else:
         c_star = 0.0
     thr = means + c_star * sds
-    selected = frozenset(int(j) + 1 for j in np.flatnonzero(q >= thr))
+    selected = _above(q, thr)
     return SelectionResult(
         selected=selected,
         method="gse",

@@ -105,17 +105,21 @@ def type7_quantile(values: np.ndarray, q: float) -> float:
     return float(v[lo] + (h - lo) * (v[hi] - v[lo]))
 
 
+# Every threshold rule selects a feature only when its observed importance is
+# at or above its threshold and above 0: no evidence, no selection.
+
+
 def local_select_oracle(q: np.ndarray, null: np.ndarray, alpha: float) -> set[int]:
     out = set()
     for j in range(null.shape[1]):
-        if q[j] >= type7_quantile(null[:, j], 1.0 - alpha):
+        if q[j] >= type7_quantile(null[:, j], 1.0 - alpha) and q[j] > 0:
             out.add(j + 1)
     return out
 
 
 def gmax_select_oracle(q: np.ndarray, null: np.ndarray, alpha: float) -> set[int]:
     thr = type7_quantile(null.max(axis=1), 1.0 - alpha)
-    return {j + 1 for j in range(null.shape[1]) if q[j] >= thr}
+    return {j + 1 for j in range(null.shape[1]) if q[j] >= thr and q[j] > 0}
 
 
 def gse_coverage_ok(null: np.ndarray, means, sds, c: float, alpha: float) -> bool:
@@ -157,7 +161,9 @@ def gse_select_oracle(
         if gse_coverage_ok(null, means, sds, c, alpha):
             c_star = c
             break
-    sel = {j + 1 for j in range(null.shape[1]) if q[j] >= means[j] + c_star * sds[j]}
+    sel = {
+        j + 1 for j in range(null.shape[1]) if q[j] >= means[j] + c_star * sds[j] and q[j] > 0
+    }
     return sel, c_star
 
 

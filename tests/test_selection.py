@@ -154,8 +154,8 @@ class TestClusterSelect:
         matrix = vc_matrix_from_fits([[3, 3, 3], [3, 3, 3]])
         result = cluster_select(matrix)
         assert result.diagnostics["tie"]
-        # the tie rule keeps the cluster containing the first feature
-        assert 1 in result.selected
+        # equal cluster means leave nothing to separate: nothing is selected
+        assert result.no_selection and result.diagnostics["winner"] is None
 
     def test_rank_source_prefers_smaller_mean_rank(self):
         # per-fit ranks (1,2,4,4,4) and (2,1,4,4,4): mean ranks (1.5,1.5,4,4,4)
