@@ -208,10 +208,11 @@ def cmd_benchmark(grid_file, out, jobs, resume) -> None:
     metrics_path = out / "metrics.csv"
     prefilled: dict[int, dict[str, str]] = {}
     if resume and metrics_path.exists():
-        completed = {}
-        for rec in read_metrics_csv(metrics_path):
-            if not rec["error"]:
-                completed[record_key(rec)] = rec
+        try:
+            earlier = read_metrics_csv(metrics_path)
+        except _RUNTIME_ERRORS as exc:
+            _runtime_fail(exc)
+        completed = {record_key(rec): rec for rec in earlier if not rec["error"]}
         for index, pt in enumerate(points):
             key = record_key(grid_row_to_record(GridRowResult(index=index, point=pt)))
             if key in completed:

@@ -885,6 +885,18 @@ class TestCliBenchmark:
                 if col != "runtime_s":
                     assert fresh[col] == kept[col]
 
+    def test_resume_from_a_malformed_metrics_csv_is_runtime_error(self, bench_out, runner, tmp_path):
+        grid, _, _ = bench_out
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "metrics.csv").write_text("a,b\n1,2\n", encoding="utf-8")
+        result = runner.invoke(main, ["benchmark", str(grid), "--out", str(out), "--resume"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert result.stderr.startswith("error: ")
+        assert "unexpected metrics CSV columns" in result.stderr
+        assert "Traceback" not in result.output
+
     def test_bad_grid_is_usage_error(self, runner, tmp_path):
         grid = write_grid(tmp_path / "g.json", {"points": [{"equation": "e", "method": "x", "n": 5}]})
         result = runner.invoke(main, ["benchmark", str(grid), "--out", str(tmp_path / "o")])
