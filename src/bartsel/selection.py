@@ -313,9 +313,8 @@ def threshold_local(observed, null: np.ndarray, alpha: float) -> SelectionResult
     null = np.asarray(null, dtype=np.float64)
     _check_threshold_args(q, null, alpha)
     thr = np.quantile(null, 1.0 - alpha, axis=0)
-    selected = _above(q, thr)
     return SelectionResult(
-        selected=selected,
+        selected=_above(q, thr),
         method="local",
         importance=q,
         thresholds=thr,
@@ -332,9 +331,8 @@ def threshold_gmax(observed, null: np.ndarray, alpha: float) -> SelectionResult:
     _check_threshold_args(q, null, alpha)
     maxima = null.max(axis=1)
     thr = float(np.quantile(maxima, 1.0 - alpha))
-    selected = _above(q, thr)
     return SelectionResult(
-        selected=selected,
+        selected=_above(q, thr),
         method="gmax",
         importance=q,
         thresholds=np.full(q.shape, thr),
@@ -386,9 +384,8 @@ def threshold_gse(observed, null: np.ndarray, alpha: float) -> SelectionResult:
     else:
         c_star = 0.0
     thr = means + c_star * sds
-    selected = _above(q, thr)
     return SelectionResult(
-        selected=selected,
+        selected=_above(q, thr),
         method="gse",
         importance=q,
         thresholds=thr,

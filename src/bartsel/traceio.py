@@ -326,8 +326,8 @@ def write_trace(trace: PosteriorTrace, path) -> None:
             fh.write(np.ascontiguousarray(getattr(trace, name), dtype=dtype))
 
 
-# every key write_trace puts in the header, less "nnz", which versions 2 and
-# 3 add, and "mi_sizes", which versions 1 and 2 add
+# the keys of every version's header; versions 2 and 3 add "nnz", and
+# versions 1 and 2 add "mi_sizes"
 _HEADER_KEYS = ("n_kept", "p", "n_trees", "seed", "config", "has_mi", "has_alpha", "has_s")
 
 
