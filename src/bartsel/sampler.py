@@ -39,7 +39,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
 
 import numpy as np
-from scipy.special import gammaincinv, gammaln
 
 from .data import (
     CutpointGrid,
@@ -98,21 +97,37 @@ def sample_sigma2(
     return float(scale / rng.gamma(shape))
 
 
+# 2 * gammaincinv(1.5, 1 - 0.9), the chi-square(3) quantile at 0.1 of the
+# default noise prior (nu = 3, q = 0.9; Chipman, George & McCulloch 2010), as
+# scipy.special evaluates it
+_CHI2_DEFAULT_QUANTILE = 0.5843743741551833
+
+
 def calibrate_lambda(y_scaled: np.ndarray, nu: float = 3.0, q: float = 0.9) -> float:
     """Scale lambda of the Inv-Gamma(nu/2, nu*lambda/2) noise prior, chosen
     so that P(sigma^2 < var(y_scaled)) = q.
 
     The chi-square(nu) quantile at 1 - q is ``2 * gammaincinv(nu/2, 1 - q)``,
     the very expression scipy's ``chi2.ppf`` evaluates, so lambda keeps its
-    bits without the import cost of scipy's distributions module.
-    (``scipy.special.chdtri`` rounds differently in the last bits.)
+    bits. (``scipy.special.chdtri`` rounds differently in the last bits.)
+    The default prior's quantile is a literal, so a default fit imports no
+    scipy module; any other (nu, q) imports ``scipy.special`` on first use.
+    The literal holds scipy's bits, not the true root: scipy's inverse is not
+    correctly rounded (2 ulp above a 200-bit root at the default), and a
+    1-ulp shift of lambda changes the chain and the selections built on it.
     """
     if not (0.0 < nu < math.inf and 0.0 < q < 1.0):
         raise ValueError(f"nu must be positive and finite and q in (0, 1), got nu={nu}, q={q}")
     y_scaled = np.asarray(y_scaled, dtype=np.float64)
     v = float(np.var(y_scaled, ddof=1)) if y_scaled.size > 1 else 0.0
     v = max(v, 1e-10)  # constant-response guard
-    return v * float(2.0 * gammaincinv(nu / 2.0, 1.0 - q)) / nu
+    if nu == 3.0 and q == 0.9:
+        chi2 = _CHI2_DEFAULT_QUANTILE
+    else:
+        from scipy.special import gammaincinv
+
+        chi2 = float(2.0 * gammaincinv(nu / 2.0, 1.0 - q))
+    return v * chi2 / nu
 
 
 # -- marginal-likelihood machinery -------------------------------------------
@@ -219,6 +234,83 @@ def update_split_probs(counts_total, alpha: float, rng: np.random.Generator) -> 
     return rng.dirichlet(alpha / counts_total.size + counts_total)
 
 
+# Cephes ``lgam`` (S. L. Moshier), the routine behind scipy.special.gammaln,
+# for x > 0: the recurrence to [2, 3) with a rational fit below 13, Stirling's
+# series with a correction above. Python floats and ``math.log`` give its bits
+# exactly; ``np.log`` rounds differently on a few inputs in 10^4. Each
+# coefficient is the shortest decimal that rounds to Cephes' double.
+_LGAM_A = (
+    8.116141674705085e-4,
+    -5.950619042843014e-4,
+    7.936503404577169e-4,
+    -2.777777777300997e-3,
+    8.333333333333319e-2,
+)
+_LGAM_B = (
+    -1378.2515256912086,
+    -38801.631513463784,
+    -331612.9927388712,
+    -1162370.974927623,
+    -1721737.0082083966,
+    -853555.6642457654,
+)
+_LGAM_C = (  # leading coefficient 1
+    -351.81570143652345,
+    -17064.210665188115,
+    -220528.59055385445,
+    -1139334.4436798252,
+    -2532523.0717758294,
+    -2018891.4143353277,
+)
+_LOG_SQRT_2PI = 0.9189385332046728
+_LGAM_MAX = 2.556348e305  # above it log-gamma overflows
+
+
+def _lgam(x: float) -> float:
+    """log Gamma(x) for x > 0 (or +inf or NaN), bit-equal to scipy's gammaln."""
+    if not math.isfinite(x):
+        return x
+    if x < 13.0:
+        z, shift, u = 1.0, 0.0, x
+        while u >= 3.0:
+            shift -= 1.0
+            u = x + shift
+            z *= u
+        while u < 2.0:
+            if u == 0.0:
+                return math.inf
+            z /= u
+            shift += 1.0
+            u = x + shift
+        if u == 2.0:
+            return math.log(z)
+        x += shift - 2.0
+        num = _LGAM_B[0]
+        for c in _LGAM_B[1:]:
+            num = num * x + c
+        den = x + _LGAM_C[0]
+        for c in _LGAM_C[1:]:
+            den = den * x + c
+        return math.log(z) + x * num / den
+    if x > _LGAM_MAX:
+        return math.inf
+    q = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        series = (7.936507936507937e-4 * p - 2.777777777777778e-3) * p
+        return q + (series + 8.333333333333333e-2) / x
+    series = _LGAM_A[0]
+    for c in _LGAM_A[1:]:
+        series = series * p + c
+    return q + series / x
+
+
+def _gammaln(values: np.ndarray) -> np.ndarray:
+    return np.array([_lgam(x) for x in values.tolist()])
+
+
 @functools.lru_cache(maxsize=16)
 def _alpha_grid(p: int, rho: float, a: float, b: float, grid_size: int):
     """The griddy-Gibbs grid of ``sample_alpha`` and every log-weight term
@@ -232,8 +324,8 @@ def _alpha_grid(p: int, rho: float, a: float, b: float, grid_size: int):
     base = (
         (a - 1.0) * np.log(lam)
         + (b - 1.0) * np.log1p(-lam)
-        + gammaln(alpha_grid)
-        - p * gammaln(alpha_grid / p)
+        + _gammaln(alpha_grid)
+        - p * _gammaln(alpha_grid / p)
     )
     for arr in (alpha_grid, s_coef, base):
         arr.flags.writeable = False
@@ -620,9 +712,9 @@ class Workers:
     run in this process when jobs is 1 or there are fewer than two tasks.
     ``worker`` must be a module-level function so the pool can pickle it.
     Workers start by the platform's default method (fork on Linux); a spawned
-    worker would import numpy, scipy.special and bartsel again, about 0.4-0.55 s
-    and 55 MB per worker on a 2-core x86-64 box, more than the pool saves on
-    short fits. If a worker dies, ``map`` raises ``BrokenProcessPool``
+    worker would import numpy and bartsel again, about 0.23-0.26 s and 32 MB
+    per worker on a 2-core x86-64 box, more than the pool saves on short
+    fits. If a worker dies, ``map`` raises ``BrokenProcessPool``
     and drops the pool; the next ``map`` starts a new one.
     """
 

@@ -9,6 +9,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import click
@@ -1042,8 +1043,9 @@ class TestConsoleScript:
         )
 
     def test_import_leaves_out_scipy_stats(self):
-        # bartsel needs only scipy.special; importing scipy's distributions
-        # module would add about half a second and 45 MB to every process.
+        # bartsel needs scipy.special only for a non-default noise prior;
+        # scipy's distributions module would add about half a second and
+        # 45 MB to every process.
         code = (
             "import bartsel, bartsel.cli, sys; "
             "print(sorted(m for m in sys.modules "
@@ -1053,6 +1055,36 @@ class TestConsoleScript:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=self.ENV
         )
         assert proc.stdout.strip() == "[]"
+
+    def test_default_fits_leave_out_scipy(self):
+        # the default noise prior's quantile is a literal and the DART alpha
+        # grid takes an in-house log-gamma, so default fits load no scipy
+        # module; another nu loads scipy.special and keeps chi2.ppf's bits
+        code = textwrap.dedent(
+            """\
+            import dataclasses, sys
+            import numpy as np
+            import bartsel, bartsel.cli
+            from bartsel import FitConfig, RunConfig, calibrate_lambda, fit, run_method
+            from bartsel import validate_dataset
+            rng = np.random.default_rng(0)
+            X = rng.uniform(size=(30, 3))
+            data = validate_dataset(X[:, 0] + rng.normal(0.0, 0.1, 30), X)
+            small = FitConfig(n_trees=2, burn_in=5, n_draws=5)
+            fit(data, small)
+            fit(data, dataclasses.replace(small, prior_kind="dart"))
+            run_method(data, RunConfig(method="dart-vc-measure", fit=small, l_rep=2))
+            print(sorted(m for m in sys.modules if m.startswith("scipy")))
+            y = rng.normal(size=20)
+            lam = calibrate_lambda(y, nu=4.0)
+            from scipy.stats import chi2
+            print(lam == float(np.var(y, ddof=1)) * float(chi2.ppf(1.0 - 0.9, 4.0)) / 4.0)
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=self.ENV
+        )
+        assert proc.stdout.split("\n")[:2] == ["[]", "True"]
 
     @pytest.mark.parametrize(
         "module", ["bartsel"] + [f"bartsel.{m.name}" for m in pkgutil.iter_modules(bartsel.__path__)]

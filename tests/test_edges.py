@@ -3,8 +3,10 @@ never selects a feature that no kept draw of its replicate fits splits on."""
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from bartsel import METHOD_NAMES, FitConfig, RunConfig, run_method, validate_dataset
+from bartsel.cli import main
 from bartsel.methods import METHOD_SPECS, resolve_l_rep
 
 CLUSTER_METHODS = {name for name, spec in METHOD_SPECS.items() if spec.route == "cluster"}
@@ -70,3 +72,46 @@ def test_every_method_gives_a_result_or_a_named_error(name):
             continue
         selected = run_method(dataset, config, cache=cache).selection.selected
         assert selected <= split_features(cache, config), (name, method)
+
+
+def write_case_csv(path, y, X) -> None:
+    X = np.asarray(X, dtype=float)
+    header = ["y"] + [f"x{j + 1}" for j in range(X.shape[1])]
+    rows = [",".join(repr(float(v)) for v in (yi, *xi)) for yi, xi in zip(y, X)]
+    path.write_text("\n".join([",".join(header), *rows]) + "\n", encoding="utf-8")
+
+
+CLI_FLAGS = ["--trees", "2", "--burnin", "5", "--draws", "5", "--lrep", "2", "--lperm", "2"]
+
+
+def named_error(name: str, method: str) -> str | None:
+    """The error ``bartsel select`` must name for an edge case, or None."""
+    if name == "empty CSV":
+        return "no data rows"
+    if np.shape(EDGE_CASES[name][1])[1] == 1 and method in CLUSTER_METHODS:
+        return "clustering selection needs p >= 2 features"
+    return None
+
+
+@pytest.mark.parametrize("name", [*EDGE_CASES, "empty CSV"])
+def test_select_exits_zero_or_with_a_named_error(name, tmp_path):
+    # exit 0 with a result, or exit 1 with the error the library names;
+    # exit 2 for a bad flag
+    csv = tmp_path / "data.csv"
+    if name == "empty CSV":
+        csv.write_text("y,x1,x2\n", encoding="utf-8")
+    else:
+        write_case_csv(csv, *EDGE_CASES[name])
+    runner = CliRunner()
+    for method in METHOD_NAMES:
+        out = tmp_path / method
+        args = ["select", str(csv), "--method", method, *CLI_FLAGS, "--seed", "3", "--out", str(out)]
+        result = runner.invoke(main, args)
+        error = named_error(name, method)
+        if error is None:
+            assert result.exit_code == 0, (method, result.output)
+            assert (out / "results.json").is_file() and (out / "importance.csv").is_file()
+        else:
+            assert result.exit_code == 1 and error in result.stderr, method
+        bad = runner.invoke(main, [*args, "--trees", "0"])
+        assert bad.exit_code == 2 and "n_trees" in bad.stderr, method

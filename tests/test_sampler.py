@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from bartsel import (
     EnsembleSampler,
@@ -31,7 +31,7 @@ from bartsel import (
     validate_dataset,
     vip,
 )
-from bartsel.sampler import FitError, _alpha_grid, _birth_log_ratio, _pick
+from bartsel.sampler import FitError, _alpha_grid, _birth_log_ratio, _lgam, _pick
 from oracles import (
     LeafSufficientStats,
     MaskScanSampler,
@@ -423,6 +423,53 @@ class TestSampleAlpha:
             warnings.simplefilter("ignore")
             with pytest.raises(FitError):
                 sample_alpha(np.array([np.nan, np.nan]), np.random.default_rng(17))
+
+
+def same_bits(got, want) -> bool:
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestLogGamma:
+    # ``_lgam`` must give scipy's gammaln bits: the alpha grid's weights enter
+    # every DART chain
+
+    @pytest.mark.parametrize(
+        "spacing, low, high",
+        [
+            ("log", 1e-300, 1e300),
+            # dense where the rational fit and the series apply, so that a
+            # wrong last digit of a coefficient shows in the bits
+            ("log", 1e-3, 13.0),
+            ("linear", 0.0, 13.0),
+            ("log", 13.0, 1e8),
+        ],
+    )
+    def test_bitwise_equal_to_scipy(self, spacing, low, high):
+        rng = np.random.default_rng(19)
+        if spacing == "log":
+            x = np.exp(rng.uniform(math.log(low), math.log(high), 200_000))
+        else:
+            x = rng.uniform(low, high, 200_000)
+        assert same_bits([_lgam(v) for v in x.tolist()], special.gammaln(x))
+
+    @pytest.mark.parametrize("edge", [2.0, 3.0, 13.0, 1000.0, 1e8])
+    def test_branch_edges_and_their_neighbours(self, edge):
+        x = np.array([np.nextafter(edge, 0.0), edge, np.nextafter(edge, math.inf)])
+        assert same_bits([_lgam(v) for v in x.tolist()], special.gammaln(x))
+
+    def test_integers_and_special_values(self):
+        x = np.array([*range(31), math.inf, math.nan])
+        assert same_bits([_lgam(v) for v in x.tolist()], special.gammaln(x))
+
+    @pytest.mark.parametrize("p", [1, 2, 102, 306, 100_000])
+    def test_alpha_grid_equals_the_scipy_weights(self, p):
+        # with s all ones the s term is 0, so the oracle's weights are the
+        # grid's s-free terms computed with scipy's gammaln
+        for rho in (float(p), 10.0):
+            want_grid, want = alpha_log_weights(np.ones(p), 0.5, 1.0, rho, 1000)
+            grid, _, base = _alpha_grid(p, rho, 0.5, 1.0, 1000)
+            assert same_bits(grid, want_grid) and same_bits(base, want), rho
 
 
 def make_regression(n: int = 60, p: int = 3, seed: int = 0):
