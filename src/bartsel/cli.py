@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 import click
@@ -86,34 +87,31 @@ def main() -> None:
 @main.command(name="fit")
 @click.argument("csv_path", type=click.Path(exists=True, dir_okay=False, path_type=Path))
 @click.option("--response", default="y", show_default=True, help="Response column name.")
-@click.option("--trees", default=20, show_default=True, help="Ensemble size T.")
-@click.option("--burnin", default=5000, show_default=True, help="Burn-in sweeps.")
-@click.option("--draws", default=5000, show_default=True, help="Kept posterior draws.")
+@click.option("--trees", default=FitConfig.n_trees, show_default=True, help="Ensemble size T.")
+@click.option("--burnin", default=FitConfig.burn_in, show_default=True, help="Burn-in sweeps.")
+@click.option("--draws", default=FitConfig.n_draws, show_default=True, help="Kept posterior draws.")
 @click.option(
     "--prior",
     type=click.Choice(["bart", "dart"]),
-    default="bart",
+    default=FitConfig.prior_kind,
     show_default=True,
     help="Split-feature prior.",
 )
-@click.option(
-    "--mi/--no-mi", "track_mi", default=False, help="Keep the Metropolis importance (MI) sum."
-)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=FitConfig.seed, show_default=True)
 @click.option(
     "--out",
     type=click.Path(dir_okay=False, path_type=Path),
     required=True,
     help="Trace file to write.",
 )
-def cmd_fit(csv_path, response, trees, burnin, draws, prior, track_mi, seed, out) -> None:
+def cmd_fit(csv_path, response, trees, burnin, draws, prior, seed, out) -> None:
     """Fit one posterior on a CSV dataset and write a trace file."""
     config = FitConfig(
         n_trees=trees,
         burn_in=burnin,
         n_draws=draws,
         prior_kind=prior,
-        track_mi=track_mi,
+        track_mi=True,
         seed=seed,
     )
     try:
@@ -139,13 +137,13 @@ def cmd_fit(csv_path, response, trees, burnin, draws, prior, track_mi, seed, out
     "--method", type=click.Choice(METHOD_NAMES), required=True, help="Selection method."
 )
 @click.option("--response", default="y", show_default=True)
-@click.option("--trees", default=20, show_default=True)
-@click.option("--burnin", default=5000, show_default=True)
-@click.option("--draws", default=5000, show_default=True)
+@click.option("--trees", default=FitConfig.n_trees, show_default=True)
+@click.option("--burnin", default=FitConfig.burn_in, show_default=True)
+@click.option("--draws", default=FitConfig.n_draws, show_default=True)
 @click.option("--lrep", type=int, default=None, help="Replicate fits [method default].")
-@click.option("--lperm", type=int, default=50, show_default=True, help="Permutation fits.")
-@click.option("--alpha", type=float, default=0.05, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--lperm", default=RunConfig.l_perm, show_default=True, help="Permutation fits.")
+@click.option("--alpha", type=float, default=RunConfig.alpha, show_default=True)
+@click.option("--seed", type=int, default=RunConfig.seed, show_default=True)
 @_jobs_option
 @click.option(
     "--out",
@@ -213,13 +211,17 @@ def cmd_benchmark(grid_file, out, jobs, resume) -> None:
         except _RUNTIME_ERRORS as exc:
             _runtime_fail(exc)
         completed = {record_key(rec): rec for rec in earlier if not rec["error"]}
-        for index, pt in enumerate(points):
-            key = record_key(grid_row_to_record(GridRowResult(index=index, point=pt)))
-            if key in completed:
-                rec = dict(completed[key])
-                rec["index"] = str(index)
-                prefilled[index] = rec
-        click.echo(f"resume: keeping {len(prefilled)} of {len(points)} rows")
+        keys = [record_key(grid_row_to_record(GridRowResult(i, pt))) for i, pt in enumerate(points)]
+        # the key leaves out fit, so points that share one are recomputed
+        counts = Counter(keys)
+        for index, key in enumerate(keys):
+            if key in completed and counts[key] == 1:
+                prefilled[index] = {**completed[key], "index": str(index)}
+        shared = sum(n for n in counts.values() if n > 1)
+        click.echo(
+            f"resume: keeping {len(prefilled)} of {len(points)} rows; "
+            f"recomputing {shared} whose key another point shares"
+        )
 
     def progress(row: GridRowResult) -> None:
         pt = row.point

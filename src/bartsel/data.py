@@ -406,10 +406,10 @@ class PosteriorTrace:
     i says that ``count[i]`` internal nodes anywhere in the ensemble split on
     feature ``feature[i]``. Within a draw the features ascend, and every count
     is positive. Both entry arrays are int32: a count is at most the
-    ensemble's number of internal nodes. ``counts`` and ``inclusion`` are
-    dense (n_kept, p) views built on each access, for readers outside the
-    package. ``mi_sum`` is the (p,) sum over kept draws of each draw's MI
-    term (``summaries.mi_term``), or None when MI was not tracked.
+    ensemble's number of internal nodes. ``counts`` is a dense (n_kept, p)
+    view built on each access, for readers outside the package. ``mi_sum``
+    is the (p,) sum over kept draws of each draw's MI term
+    (``summaries.mi_term``), or None when MI was not tracked.
     """
 
     draw_ptr: np.ndarray
@@ -455,10 +455,6 @@ class PosteriorTrace:
         dense = np.zeros((self.n_kept, self.p), dtype=np.int64)
         dense[self.entry_draws(), self.feature] = self.count
         return dense
-
-    @property
-    def inclusion(self) -> np.ndarray:
-        return self.counts > 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PosteriorTrace):

@@ -45,7 +45,6 @@ from .summaries import (
     SOURCE_VC_MEASURE,
     SOURCE_VIP_MEASURE,
     SOURCE_VIP_RANK,
-    ImportanceVector,
     SummaryMatrix,
     build_summary_matrix,
     importance,
@@ -216,8 +215,7 @@ def select_with_method(
     if spec.route == ROUTE_CLUSTER:
         summary = build_summary_matrix(traces, spec.source_kind)
         return cluster_select(summary), summary
-    pi_hat = _mean_importance(traces, KIND_MPVIP)
-    return mpm_select(ImportanceVector(KIND_MPVIP, pi_hat)), None
+    return mpm_select(_mean_importance(traces, KIND_MPVIP)), None
 
 
 def _grow(rows: list, count: int, compute) -> list:

@@ -36,7 +36,6 @@ from .summaries import (
 
 __all__ = [
     "SelectionResult",
-    "Dendrogram",
     "hac_average_linkage",
     "cut_two",
     "cluster_select",
@@ -55,7 +54,6 @@ class SelectionResult:
     """A selected feature-index set (1-based) plus how it was reached."""
 
     selected: frozenset[int]
-    method: str
     importance: np.ndarray
     thresholds: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
@@ -65,25 +63,13 @@ class SelectionResult:
         return len(self.selected) == 0
 
 
-@dataclass(frozen=True)
-class Dendrogram:
-    """Merge history of agglomerative clustering.
+def hac_average_linkage(points: np.ndarray) -> np.ndarray:
+    """UPGMA clustering of the m rows of ``points`` under Euclidean distance;
+    returns the (m - 1) x 4 merge history.
 
-    Row k of ``merges`` is (id_a, id_b, height, size): cluster ids a < b
+    Row k of the merges is (id_a, id_b, height, size): cluster ids a < b
     merged at the given height into a new cluster of id m + k. Ids below m
     are the original points.
-    """
-
-    merges: np.ndarray
-    m: int
-
-    @property
-    def heights(self) -> np.ndarray:
-        return self.merges[:, 2]
-
-
-def hac_average_linkage(points: np.ndarray) -> Dendrogram:
-    """UPGMA clustering of the rows of ``points`` under Euclidean distance.
 
     At each step the pair of active clusters at minimal average-linkage
     distance merges; ties break toward the lexicographically smallest
@@ -148,29 +134,21 @@ def hac_average_linkage(points: np.ndarray) -> Dendrogram:
         nd[:q][nearer] = merged_d[nearer]
         for i in stale.tolist():
             search(i, q + 1)
-    return Dendrogram(merges=merges, m=m)
+    return merges
 
 
-def _members(dend: Dendrogram, cluster_id: int) -> list[int]:
-    out: list[int] = []
-    stack = [cluster_id]
+def cut_two(merges: np.ndarray) -> np.ndarray:
+    """Remove the final merge of a ``hac_average_linkage`` history; label the
+    points of its first subtree 0 and of its second 1."""
+    m = len(merges) + 1
+    labels = np.zeros(m, dtype=np.int64)
+    stack = [int(merges[-1, 1])]
     while stack:
         c = stack.pop()
-        if c < dend.m:
-            out.append(c)
+        if c < m:
+            labels[c] = 1
         else:
-            row = dend.merges[c - dend.m]
-            stack.append(int(row[0]))
-            stack.append(int(row[1]))
-    return out
-
-
-def cut_two(dend: Dendrogram) -> np.ndarray:
-    """Remove the final merge; label the two remaining subtrees 0 and 1."""
-    a, b = int(dend.merges[-1, 0]), int(dend.merges[-1, 1])
-    labels = np.zeros(dend.m, dtype=np.int64)
-    labels[_members(dend, b)] = 1
-    labels[_members(dend, a)] = 0
+            stack += (int(merges[c - m, 0]), int(merges[c - m, 1]))
     return labels
 
 
@@ -207,9 +185,7 @@ def cluster_select(matrix: SummaryMatrix) -> SelectionResult:
     selected = frozenset(int(j) + 1 for j in np.flatnonzero(labels == winner))
     return SelectionResult(
         selected=selected,
-        method=f"cluster-{matrix.source_kind}",
         importance=col0,
-        thresholds=None,
         diagnostics={
             "cluster_means": (mean0, mean1),
             "cluster_sizes": (int((labels == 0).sum()), int((labels == 1).sum())),
@@ -219,15 +195,14 @@ def cluster_select(matrix: SummaryMatrix) -> SelectionResult:
     )
 
 
-def mpm_select(pi_hat: ImportanceVector) -> SelectionResult:
+def mpm_select(pi_hat) -> SelectionResult:
     """Median probability model: keep features with inclusion prob >= 0.5."""
-    values = np.asarray(pi_hat.values, dtype=np.float64)
+    values = _as_observed(pi_hat)
     if np.any(values < 0) or np.any(values > 1):
         raise ValueError("inclusion probabilities must lie in [0, 1]")
     selected = frozenset(int(j) + 1 for j in np.flatnonzero(values >= 0.5))
     return SelectionResult(
         selected=selected,
-        method="mpm",
         importance=values,
         thresholds=np.full(values.shape, 0.5),
     )
@@ -315,7 +290,6 @@ def threshold_local(observed, null: np.ndarray, alpha: float) -> SelectionResult
     thr = np.quantile(null, 1.0 - alpha, axis=0)
     return SelectionResult(
         selected=_above(q, thr),
-        method="local",
         importance=q,
         thresholds=thr,
         diagnostics={"alpha": alpha, "l_perm": int(null.shape[0])},
@@ -333,7 +307,6 @@ def threshold_gmax(observed, null: np.ndarray, alpha: float) -> SelectionResult:
     thr = float(np.quantile(maxima, 1.0 - alpha))
     return SelectionResult(
         selected=_above(q, thr),
-        method="gmax",
         importance=q,
         thresholds=np.full(q.shape, thr),
         diagnostics={"alpha": alpha, "global_threshold": thr, "l_perm": int(null.shape[0])},
@@ -386,7 +359,6 @@ def threshold_gse(observed, null: np.ndarray, alpha: float) -> SelectionResult:
     thr = means + c_star * sds
     return SelectionResult(
         selected=_above(q, thr),
-        method="gse",
         importance=q,
         thresholds=thr,
         diagnostics={"alpha": alpha, "c_star": c_star, "l_perm": l_perm},

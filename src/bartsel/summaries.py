@@ -31,7 +31,6 @@ __all__ = [
     "SOURCE_VIP_MEASURE",
     "SOURCE_VIP_RANK",
     "ImportanceVector",
-    "RankVector",
     "SummaryMatrix",
     "vip",
     "vc",
@@ -61,15 +60,7 @@ _SOURCE_KINDS = {
 
 @dataclass(frozen=True)
 class ImportanceVector:
-    kind: str
     values: np.ndarray
-
-
-@dataclass(frozen=True)
-class RankVector:
-    """Midranks in descending importance order: rank 1 = most important."""
-
-    ranks: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -99,21 +90,20 @@ def vip(trace: PosteriorTrace) -> ImportanceVector:
     draws = trace.entry_draws()
     totals = np.bincount(draws, weights=trace.count, minlength=trace.n_kept)
     props = trace.count / totals[draws]
-    return ImportanceVector(
-        KIND_VIP, np.bincount(trace.feature, weights=props, minlength=trace.p) / trace.n_kept
-    )
+    sums = np.bincount(trace.feature, weights=props, minlength=trace.p)
+    return ImportanceVector(sums / trace.n_kept)
 
 
 def vc(trace: PosteriorTrace) -> ImportanceVector:
     """Mean per-draw split count per feature (unnormalized VIP)."""
     sums = np.bincount(trace.feature, weights=trace.count, minlength=trace.p)
-    return ImportanceVector(KIND_VC, sums / trace.n_kept)
+    return ImportanceVector(sums / trace.n_kept)
 
 
 def mpvip(trace: PosteriorTrace) -> ImportanceVector:
     """Fraction of draws in which each feature is split on at least once."""
     draws_using = np.bincount(trace.feature, minlength=trace.p)
-    return ImportanceVector(KIND_MPVIP, draws_using / trace.n_kept)
+    return ImportanceVector(draws_using / trace.n_kept)
 
 
 def mi_term(features, probs, p: int) -> np.ndarray:
@@ -136,7 +126,7 @@ def metropolis_importance(trace: PosteriorTrace) -> ImportanceVector:
     trace's MI sum (see :func:`mi_term`) over the number of kept draws."""
     if trace.mi_sum is None:
         raise ValueError("MI tracking was not enabled for this trace")
-    return ImportanceVector(KIND_MI, trace.mi_sum / trace.n_kept)
+    return ImportanceVector(trace.mi_sum / trace.n_kept)
 
 
 _IMPORTANCE = {KIND_VIP: vip, KIND_VC: vc, KIND_MPVIP: mpvip, KIND_MI: metropolis_importance}
@@ -149,7 +139,7 @@ def importance(trace: PosteriorTrace, kind: str) -> np.ndarray:
     return _IMPORTANCE[kind](trace).values
 
 
-def rank_descending(values: np.ndarray) -> RankVector:
+def rank_descending(values: np.ndarray) -> np.ndarray:
     """Midranks with rank 1 for the largest value; ties get averaged ranks.
 
     Equal to scipy's ``rankdata(-values)``: each tie group holds the
@@ -168,7 +158,7 @@ def rank_descending(values: np.ndarray) -> RankVector:
     bounds = np.append(np.flatnonzero(tie_start), values.size)
     ranks = np.empty(values.size)
     ranks[order] = 0.5 * (bounds[dense] + bounds[dense - 1] + 1)
-    return RankVector(ranks)
+    return ranks
 
 
 def build_summary_matrix(traces: list[PosteriorTrace], source_kind: str) -> SummaryMatrix:
@@ -187,7 +177,7 @@ def build_summary_matrix(traces: list[PosteriorTrace], source_kind: str) -> Summ
     if source_kind not in _SOURCE_KINDS:
         raise ValueError(f"unknown summary source {source_kind!r}")
     vals = np.stack([importance(t, _SOURCE_KINDS[source_kind]) for t in traces])
-    ranks = np.stack([rank_descending(row).ranks for row in vals])
+    ranks = np.stack([rank_descending(row) for row in vals])
     if source_kind == SOURCE_VIP_RANK:
         Z = ranks.mean(axis=0)[:, None]
     else:

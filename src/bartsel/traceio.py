@@ -148,14 +148,20 @@ def read_dataset_csv(path, response: str = "y") -> Dataset:
 # short spellings accepted for FitConfig fields in grid files and nowhere else
 _FIT_ALIASES = {"trees": "n_trees", "burnin": "burn_in", "draws": "n_draws"}
 _FIT_FIELDS = set(FitConfig.__dataclass_fields__)
+# FitConfig fields a grid file may not set, and what sets each instead
+_FIT_SET_ELSEWHERE = {
+    "prior_kind": "the method",
+    "seed": "the seed scheme (the point's seed and replicate)",
+    "track_mi": "the method run, which keeps the MI sum in every fit",
+}
 
 _POINT_DEFAULTS = {
     "snr": 10.0,
     "S": 50,
-    "l_rep": None,
-    "l_perm": 50,
-    "alpha": 0.05,
-    "seed": 0,
+    "l_rep": GridPoint.l_rep,
+    "l_perm": GridPoint.l_perm,
+    "alpha": GridPoint.alpha,
+    "seed": GridPoint.seed,
     "replicates": 1,
     "fit": {},
 }
@@ -170,6 +176,9 @@ def _fit_overrides(raw: dict, where: str) -> tuple[tuple[str, object], ...]:
         field_name = _FIT_ALIASES.get(key, key)
         if field_name not in _FIT_FIELDS:
             raise GridFileError(f"{where}: unknown fit option {key!r}")
+        if field_name in _FIT_SET_ELSEWHERE:
+            setter = _FIT_SET_ELSEWHERE[field_name]
+            raise GridFileError(f"{where}: fit option {key!r} is set by {setter}")
         out[field_name] = value
     return tuple(sorted(out.items()))
 
@@ -197,7 +206,8 @@ def load_grid_file(path) -> tuple[list[GridPoint], dict]:
     and "defaults" sections plus a required "points" list. Each point names
     an equation and a method; n/snr/S/l_rep/l_perm/alpha/seed/fit fall back
     to the defaults section, and "replicates": R expands the point into R
-    rows with replicate indices 0..R-1.
+    rows with replicate indices 0..R-1. "fit" may set any FitConfig field
+    but prior_kind, seed and track_mi (see ``_FIT_SET_ELSEWHERE``).
     """
     path = Path(path)
     try:

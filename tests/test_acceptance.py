@@ -156,11 +156,11 @@ def test_criterion_3_hac_matches_naive_oracle():
         m = int(rng.integers(2, 11))
         d = int(rng.integers(1, 5))
         points = rng.normal(0, 1, (m, d))
-        dend = hac_average_linkage(points)
+        merges = hac_average_linkage(points)
         oracle = naive_upgma(points)
-        pairs_ok = np.array_equal(dend.merges[:, :2], oracle[:, :2])
-        heights_ok = np.allclose(dend.merges[:, 2], oracle[:, 2], rtol=1e-10, atol=1e-12)
-        labels_ok = labels_equal_up_to_swap(cut_two(dend), naive_cut_two(points))
+        pairs_ok = np.array_equal(merges[:, :2], oracle[:, :2])
+        heights_ok = np.allclose(merges[:, 2], oracle[:, 2], rtol=1e-10, atol=1e-12)
+        labels_ok = labels_equal_up_to_swap(cut_two(merges), naive_cut_two(points))
         if not (pairs_ok and heights_ok and labels_ok):
             mismatches += 1
     elapsed = time.perf_counter() - t0
@@ -239,7 +239,7 @@ def test_criterion_5_summary_formulas():
         )
         if trace.counts.sum(axis=1).min() > 0:  # vip sums to 1 iff every draw splits
             vip_sum_err = max(vip_sum_err, abs(vip(trace).values.sum() - 1.0))
-        ranks = rank_descending(rng.random(p)).ranks
+        ranks = rank_descending(rng.random(p))
         rank_exact = rank_exact and ranks.sum() == p * (p + 1) / 2
     ok = max_err < 1e-12 and vip_sum_err < 1e-10 and rank_exact
     assert report(

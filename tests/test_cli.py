@@ -500,6 +500,28 @@ class TestGridFile:
             ({"defaults": {"method": "dart-mpm"}, "points": [{}]}, "unknown keys in defaults"),
             ({"defaults": 3, "points": [{}]}, "'defaults' must be an object"),
             ({"equations": 3, "points": [{}]}, "'equations' must be an object"),
+            # fit keys that the method, the seed scheme and the method run set
+            (
+                {
+                    "defaults": {"fit": {"prior_kind": "dart"}},
+                    "points": [{"equation": "e", "method": "bart-vc-measure", "n": 5}],
+                },
+                "fit option 'prior_kind' is set by the method",
+            ),
+            (
+                {
+                    "defaults": {"fit": {"trees": 2, "seed": 99}},
+                    "points": [{"equation": "e", "method": "dart-mpm", "n": 5}],
+                },
+                "fit option 'seed' is set by the seed scheme",
+            ),
+            (
+                {
+                    "defaults": {"fit": {"track_mi": False}},
+                    "points": [{"equation": "e", "method": "dart-mpm", "n": 5}],
+                },
+                "fit option 'track_mi' is set by the method run",
+            ),
         ],
     )
     def test_bad_grid_rejected(self, tmp_path, payload, match):
@@ -696,6 +718,21 @@ class TestCliFit:
         )
         assert result.exit_code == 2
 
+    def test_fit_keeps_mi_sum(self, runner, signal_csv, tmp_path):
+        out = tmp_path / "fit.trace"
+        result = runner.invoke(main, ["fit", str(signal_csv), *FAST_FLAGS, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        trace = read_trace(out)
+        assert trace.mi_sum is not None and trace.mi_sum.shape == (3,)
+        assert trace.config_echo["track_mi"] is True
+
+    @pytest.mark.parametrize("flag", ["--mi", "--no-mi"])
+    def test_mi_flag_is_usage_error(self, runner, signal_csv, tmp_path, flag):
+        out = tmp_path / "fit.trace"
+        result = runner.invoke(main, ["fit", str(signal_csv), *FAST_FLAGS, flag, "--out", str(out)])
+        assert result.exit_code == 2
+        assert "No such option" in result.stderr and not out.exists()
+
     def test_missing_input_file_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, ["fit", str(tmp_path / "no.csv"), "--out", str(tmp_path / "t")])
         assert result.exit_code == 2
@@ -885,6 +922,33 @@ class TestCliBenchmark:
             for col in METRICS_COLUMNS:
                 if col != "runtime_s":
                     assert fresh[col] == kept[col]
+
+    def test_resume_recomputes_points_that_share_a_key(self, runner, tmp_path):
+        # two points that differ only in fit share a metrics.csv key
+        point = {"equation": "product2", "method": "bart-vc-measure", "l_rep": 2}
+        payload = {
+            "defaults": {"n": 40, "snr": 1.0, "S": 1, "seed": 3},
+            "points": [
+                {**point, "fit": {"trees": 2, "burnin": 20, "draws": 20}},
+                {**point, "fit": {"trees": 8, "burnin": 20, "draws": 20}},
+                {**point, "l_rep": 3, "fit": {"trees": 2, "burnin": 20, "draws": 20}},
+            ],
+        }
+        grid = write_grid(tmp_path / "g.json", payload)
+        out = tmp_path / "o"
+        assert runner.invoke(main, ["benchmark", str(grid), "--out", str(out)]).exit_code == 0
+        full = read_metrics_csv(out / "metrics.csv")
+        assert full[0]["selected"] != full[1]["selected"]  # so a copied row shows
+        result = runner.invoke(main, ["benchmark", str(grid), "--out", str(out), "--resume"])
+        assert result.exit_code == 0, result.output
+        assert "resume: keeping 1 of 3 rows; recomputing 2 whose key" in result.output
+        assert "[1/3]" in result.output and "[2/3]" in result.output
+        assert "[3/3]" not in result.output
+        resumed = read_metrics_csv(out / "metrics.csv")
+        for fresh, kept in zip(full, resumed, strict=True):
+            for col in METRICS_COLUMNS:
+                if col != "runtime_s":
+                    assert fresh[col] == kept[col], col
 
     def test_resume_from_a_malformed_metrics_csv_is_runtime_error(self, bench_out, runner, tmp_path):
         grid, _, _ = bench_out

@@ -26,8 +26,6 @@ from bartsel.selection import _null_row
 from bartsel.summaries import (
     SOURCE_VC_MEASURE,
     SOURCE_VIP_RANK,
-    ImportanceVector,
-    KIND_MPVIP,
 )
 
 from conftest import make_trace
@@ -52,15 +50,15 @@ class TestHac:
 
     def test_identical_points_merge_first_at_zero(self):
         pts = np.array([[1.0, 1.0], [5.0, 5.0], [1.0, 1.0]])
-        dend = hac_average_linkage(pts)
-        assert dend.merges[0, 2] == 0.0
-        assert {int(dend.merges[0, 0]), int(dend.merges[0, 1])} == {0, 2}
+        merges = hac_average_linkage(pts)
+        assert merges[0, 2] == 0.0
+        assert {int(merges[0, 0]), int(merges[0, 1])} == {0, 2}
 
     def test_rescaling_preserves_topology(self):
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(8, 3))
-        a = hac_average_linkage(pts).merges
-        b = hac_average_linkage(pts * 37.5).merges
+        a = hac_average_linkage(pts)
+        b = hac_average_linkage(pts * 37.5)
         np.testing.assert_array_equal(a[:, :2], b[:, :2])
 
     def test_matches_naive_oracle_on_random_sets(self):
@@ -69,11 +67,11 @@ class TestHac:
             m = int(rng.integers(2, 11))
             d = int(rng.integers(1, 5))
             pts = rng.normal(size=(m, d))
-            dend = hac_average_linkage(pts)
+            merges = hac_average_linkage(pts)
             oracle = naive_upgma(pts)
-            np.testing.assert_array_equal(dend.merges[:, :2], oracle[:, :2])
-            np.testing.assert_allclose(dend.merges[:, 2], oracle[:, 2], rtol=1e-10)
-            assert labels_equal_up_to_swap(cut_two(dend), naive_cut_two(pts))
+            np.testing.assert_array_equal(merges[:, :2], oracle[:, :2])
+            np.testing.assert_allclose(merges[:, 2], oracle[:, 2], rtol=1e-10)
+            assert labels_equal_up_to_swap(cut_two(merges), naive_cut_two(pts))
 
     def test_merges_bitwise_equal_to_submatrix_scan_under_ties(self):
         # small integer grids tie many distances; repeated rows tie at zero
@@ -83,23 +81,23 @@ class TestHac:
             pts = rng.integers(0, 3, size=(m, d)).astype(np.float64)
             if trial % 2:
                 pts[rng.integers(0, m, size=m // 2)] = pts[rng.integers(0, m)]
-            dend = hac_average_linkage(pts)
-            assert np.array_equal(dend.merges, upgma_submatrix(pts))
+            merges = hac_average_linkage(pts)
+            assert np.array_equal(merges, upgma_submatrix(pts))
             if m <= 12:
                 oracle = naive_upgma(pts)
-                np.testing.assert_allclose(dend.merges[:, 2], oracle[:, 2], rtol=1e-10, atol=1e-12)
-                assert labels_equal_up_to_swap(cut_two(dend), naive_cut_two(pts))
+                np.testing.assert_allclose(merges[:, 2], oracle[:, 2], rtol=1e-10, atol=1e-12)
+                assert labels_equal_up_to_swap(cut_two(merges), naive_cut_two(pts))
 
     def test_merges_bitwise_equal_to_submatrix_scan_at_summary_size(self):
         rng = np.random.default_rng(32)
         pts = np.round(rng.standard_t(2, size=(306, 4)), 1)
-        assert np.array_equal(hac_average_linkage(pts).merges, upgma_submatrix(pts))
+        assert np.array_equal(hac_average_linkage(pts), upgma_submatrix(pts))
 
     def test_heights_nondecreasing(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             pts = rng.normal(size=(int(rng.integers(3, 12)), 2))
-            h = hac_average_linkage(pts).heights
+            h = hac_average_linkage(pts)[:, 2]
             assert np.all(np.diff(h) >= -1e-12)
 
     def test_single_point_rejected(self):
@@ -163,7 +161,6 @@ class TestClusterSelect:
         matrix = build_summary_matrix(traces, SOURCE_VIP_RANK)
         result = cluster_select(matrix)
         assert result.selected == {1, 2}
-        assert result.method == "cluster-vip-rank"
 
     def test_zero_variance_column_is_harmless(self):
         matrix = vc_matrix_from_fits([[40, 0, 2], [44, 1, 2]])
@@ -185,30 +182,30 @@ class TestClusterSelect:
 
 class TestMpmSelect:
     def test_boundary_inclusive_at_half(self):
-        result = mpm_select(ImportanceVector(KIND_MPVIP, np.array([1.0, 0.5, 0.49])))
+        result = mpm_select(np.array([1.0, 0.5, 0.49]))
         assert result.selected == {1, 2}
 
     def test_all_zero_is_empty_selection(self):
-        result = mpm_select(ImportanceVector(KIND_MPVIP, np.zeros(3)))
+        result = mpm_select(np.zeros(3))
         assert result.selected == frozenset()
         assert result.no_selection
 
     def test_all_one_selects_everything(self):
-        result = mpm_select(ImportanceVector(KIND_MPVIP, np.ones(4)))
+        result = mpm_select(np.ones(4))
         assert result.selected == {1, 2, 3, 4}
 
     def test_monotone_in_each_coordinate(self):
         rng = np.random.default_rng(4)
         base = rng.random(5)
-        sel = mpm_select(ImportanceVector(KIND_MPVIP, base)).selected
+        sel = mpm_select(base).selected
         raised = base.copy()
         raised[2] = min(1.0, raised[2] + 0.4)
-        sel2 = mpm_select(ImportanceVector(KIND_MPVIP, raised)).selected
+        sel2 = mpm_select(raised).selected
         assert sel - {3} <= sel2
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            mpm_select(ImportanceVector(KIND_MPVIP, np.array([1.2])))
+            mpm_select(np.array([1.2]))
 
 
 def tiny_dataset(seed: int = 0, n: int = 40, p: int = 3):

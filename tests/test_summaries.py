@@ -228,15 +228,15 @@ class TestMetropolisImportance:
 class TestRankDescending:
     def test_pinned_example(self):
         r = rank_descending([0.5, 0.2, 0.2, 0.1])
-        np.testing.assert_array_equal(r.ranks, [1.0, 2.5, 2.5, 4.0])
+        np.testing.assert_array_equal(r, [1.0, 2.5, 2.5, 4.0])
 
     def test_strictly_decreasing_is_identity(self):
         r = rank_descending([9.0, 5.0, 1.0, 0.5])
-        np.testing.assert_array_equal(r.ranks, [1, 2, 3, 4])
+        np.testing.assert_array_equal(r, [1, 2, 3, 4])
 
     def test_all_equal_gives_midrank(self):
         r = rank_descending([2.0, 2.0, 2.0])
-        np.testing.assert_array_equal(r.ranks, [2.0, 2.0, 2.0])
+        np.testing.assert_array_equal(r, [2.0, 2.0, 2.0])
 
     def test_midrank_conservation(self):
         rng = np.random.default_rng(6)
@@ -244,13 +244,13 @@ class TestRankDescending:
             p = int(rng.integers(1, 12))
             vals = rng.integers(0, 4, size=p).astype(float)
             r = rank_descending(vals)
-            assert r.ranks.sum() == p * (p + 1) / 2
+            assert r.sum() == p * (p + 1) / 2
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(7)
         vals = rng.random(6)
         np.testing.assert_array_equal(
-            rank_descending(vals).ranks, rank_descending(vals * 17.3).ranks
+            rank_descending(vals), rank_descending(vals * 17.3)
         )
 
     def test_agrees_with_scipy_on_negated_values(self):
@@ -268,7 +268,7 @@ class TestRankDescending:
             vectors.append(rng.integers(0, 4, size=p).astype(float))
             vectors.append(rng.choice([-0.0, 0.0, 0.5, 7.0], size=p))
         for vals in vectors:
-            ranks = rank_descending(vals).ranks
+            ranks = rank_descending(vals)
             assert ranks.dtype == np.float64
             assert np.array_equal(ranks, rankdata(-vals)), vals
 
@@ -282,7 +282,7 @@ class TestSummaryMatrix:
         trace = make_trace([[2, 0, 2], [1, 1, 0]])
         sm = build_summary_matrix([trace], SOURCE_VC_MEASURE)
         vc_vals = vc(trace).values
-        ranks = rank_descending(vc_vals).ranks
+        ranks = rank_descending(vc_vals)
         np.testing.assert_allclose(sm.Z[:, 0], vc_vals, atol=1e-15)
         np.testing.assert_allclose(sm.Z[:, 1], vc_vals, atol=1e-15)
         np.testing.assert_allclose(sm.Z[:, 2], ranks, atol=1e-15)
@@ -305,8 +305,8 @@ class TestSummaryMatrix:
         traces = [make_trace([[2, 0, 1]]), make_trace([[0, 3, 1]])]
         sm = build_summary_matrix(traces, SOURCE_VIP_RANK)
         assert sm.Z.shape == (3, 1)
-        r1 = rank_descending(vip(traces[0]).values).ranks
-        r2 = rank_descending(vip(traces[1]).values).ranks
+        r1 = rank_descending(vip(traces[0]).values)
+        r2 = rank_descending(vip(traces[1]).values)
         np.testing.assert_allclose(sm.Z[:, 0], (r1 + r2) / 2.0, atol=1e-15)
 
     def test_vip_measure_uses_vip_columns(self):
