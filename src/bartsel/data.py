@@ -425,22 +425,6 @@ class PosteriorTrace:
     alpha_path: np.ndarray | None = None
     s_path: np.ndarray | None = None
 
-    @classmethod
-    def from_counts(cls, counts, **rest) -> PosteriorTrace:
-        """A trace holding the dense (n_kept, p) split-count matrix ``counts``
-        in CSR form; ``rest`` gives the other fields."""
-        counts = np.asarray(counts)
-        draws, feature = np.nonzero(counts)  # row-major: features ascend per draw
-        draw_ptr = np.zeros(counts.shape[0] + 1, dtype=np.int64)
-        np.cumsum(np.count_nonzero(counts, axis=1), out=draw_ptr[1:])
-        return cls(
-            draw_ptr=draw_ptr,
-            feature=feature.astype(np.int32),
-            count=counts[draws, feature].astype(np.int32),
-            p=counts.shape[1],
-            **rest,
-        )
-
     @property
     def n_kept(self) -> int:
         return self.draw_ptr.size - 1

@@ -151,7 +151,6 @@ class MethodResult:
     zero, and the figure depends on the other points and their order.
     """
 
-    method: str
     selection: SelectionResult
     summary: SummaryMatrix | None
     null: np.ndarray | None
@@ -285,7 +284,6 @@ def run_method(
     selection, summary = select_with_method(config.method, traces, null, config.alpha)
     runtime = time.perf_counter() - t0
     return MethodResult(
-        method=config.method,
         selection=selection,
         summary=summary,
         null=null,

@@ -112,8 +112,8 @@ def mi_term(features, probs, p: int) -> np.ndarray:
 
     u_j is the mean tag over the nodes splitting on feature j (0 if none);
     the term is u / sum_i u_i, or all zeros when the draw has no internal
-    node. The sampler and ``read_trace`` both add the terms through this
-    function, in draw order, so every MI sum has the same bits."""
+    node. Only the sampler adds the terms, in draw order, as it keeps each
+    draw; a trace file stores the finished sum."""
     node_counts = np.bincount(features, minlength=p).astype(np.float64)
     prob_sums = np.bincount(features, weights=probs, minlength=p)
     u = np.divide(prob_sums, node_counts, out=np.zeros(p), where=node_counts > 0)

@@ -22,17 +22,10 @@ Trace binary layout (magic "BVC1", version 3), all integers little-endian:
 The first three arrays are the split counts in CSR form (see
 ``PosteriorTrace``): draw k's nonzero entries are draw_ptr[k]:draw_ptr[k+1],
 their features ascend and their counts are positive; ``read_trace`` rejects a
-file that breaks any of this. ``write_trace`` writes version 3 only;
-``read_trace`` still reads the two earlier versions:
-
-* Version 2 had the same layout, but in place of the MI sum it kept a
-  per-draw MI log: a header list ``mi_sizes`` of each draw's internal-node
-  count and two blocks, ``mi_features`` (int64) and ``mi_probs`` (float64),
-  of sum(mi_sizes) entries each. ``read_trace`` folds the log into the sum
-  through ``summaries.mi_term``, draw by draw, as the sampler adds it.
-* Version 1 was version 2 with the counts stored dense, as an int64
-  n_kept x p matrix followed by a uint8 n_kept x p inclusion matrix
-  (counts > 0), and no nnz.
+file that breaks any of this. Version 3 is the only version written or read.
+Versions 1 and 2 kept dense counts or a per-draw MI log; ``read_trace``
+names such a file's version and asks for a refit, which rewrites it: a trace
+is derived from the data, seed and config, and the header echoes the config.
 
 Timestamps are deliberately excluded so identical fits produce identical
 bytes.
@@ -45,15 +38,21 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .benchmark import GridPoint, GridRowResult, MetricsRecord
+from .benchmark import (
+    REGISTRY,
+    BenchmarkError,
+    GridPoint,
+    GridRowResult,
+    MetricsRecord,
+    _coerce_equation,
+)
 from .data import DataError, Dataset, FitConfig, PosteriorTrace, validate_dataset
 from .methods import METHOD_SPECS, MethodResult, resolve_l_rep
-from .summaries import mi_term
 
 __all__ = [
     "TraceFormatError",
@@ -102,6 +101,9 @@ def read_dataset_csv(path, response: str = "y") -> Dataset:
         except StopIteration:
             raise DataError(f"{path}: file is empty") from None
         header = [h.strip() for h in header]
+        repeated = next((h for i, h in enumerate(header) if h in header[:i]), None)
+        if repeated is not None:
+            raise DataError(f"{path}: column {repeated!r} appears more than once in the header")
         if response not in header:
             raise DataError(
                 f"{path}: response column {response!r} not found; "
@@ -148,6 +150,8 @@ def read_dataset_csv(path, response: str = "y") -> Dataset:
 # short spellings accepted for FitConfig fields in grid files and nowhere else
 _FIT_ALIASES = {"trees": "n_trees", "burnin": "burn_in", "draws": "n_draws"}
 _FIT_FIELDS = set(FitConfig.__dataclass_fields__)
+# FitConfig's integer fields a grid file may set, which must be JSON integers
+_FIT_INTS = {"n_trees", "burn_in", "n_draws", "alpha_grid_size"}
 # FitConfig fields a grid file may not set, and what sets each instead
 _FIT_SET_ELSEWHERE = {
     "prior_kind": "the method",
@@ -179,7 +183,13 @@ def _fit_overrides(raw: dict, where: str) -> tuple[tuple[str, object], ...]:
         if field_name in _FIT_SET_ELSEWHERE:
             setter = _FIT_SET_ELSEWHERE[field_name]
             raise GridFileError(f"{where}: fit option {key!r} is set by {setter}")
+        if field_name in _FIT_INTS and type(value) is not int:
+            raise GridFileError(f"{where}: fit option {key!r} must be an integer, got {value!r}")
         out[field_name] = value
+    try:
+        replace(FitConfig(), **out).validate()
+    except (TypeError, ValueError) as exc:
+        raise GridFileError(f"{where}: fit: {exc}") from None
     return tuple(sorted(out.items()))
 
 
@@ -208,6 +218,12 @@ def load_grid_file(path) -> tuple[list[GridPoint], dict]:
     to the defaults section, and "replicates": R expands the point into R
     rows with replicate indices 0..R-1. "fit" may set any FitConfig field
     but prior_kind, seed and track_mi (see ``_FIT_SET_ELSEWHERE``).
+
+    The whole file is checked here, so a mistake in it is a GridFileError
+    and not an error row at run time: each equation entry must build an
+    ``EquationSpec``, each point must name a built-in or defined equation,
+    and its fit options must build a valid ``FitConfig``, with JSON
+    integers for its integer fields. The equations return as specs.
     """
     path = Path(path)
     try:
@@ -222,6 +238,12 @@ def load_grid_file(path) -> tuple[list[GridPoint], dict]:
     equations = raw.get("equations", {})
     if not isinstance(equations, dict):
         raise GridFileError(f"{path}: 'equations' must be an object")
+    specs = {}
+    for eq_id, spec in equations.items():
+        try:
+            specs[eq_id] = _coerce_equation(eq_id, spec)
+        except (BenchmarkError, AttributeError, TypeError, ValueError) as exc:
+            raise GridFileError(f"{path}: equations[{eq_id!r}]: {exc}") from None
     defaults = raw.get("defaults", {})
     if not isinstance(defaults, dict):
         raise GridFileError(f"{path}: 'defaults' must be an object")
@@ -261,10 +283,13 @@ def load_grid_file(path) -> tuple[list[GridPoint], dict]:
             raise GridFileError(f"{where}: replicates must be >= 1")
         snr = _parse_snr(merged["snr"], where)
         overrides = _fit_overrides(merged["fit"], where)
+        equation = str(merged["equation"])
+        if equation not in specs and equation not in REGISTRY:
+            raise GridFileError(f"{where}: unknown equation {equation!r}")
         for r in range(replicates):
             points.append(
                 GridPoint(
-                    equation=str(merged["equation"]),
+                    equation=equation,
                     n=n,
                     snr=snr,
                     s_copies=s_copies,
@@ -277,24 +302,19 @@ def load_grid_file(path) -> tuple[list[GridPoint], dict]:
                     fit_overrides=overrides,
                 )
             )
-    return points, equations
+    return points, specs
 
 
 # -- trace binary ----------------------------------------------------------------
 
 
-def _blocks(header: dict, version: int) -> list[tuple[str, str, tuple[int, ...]]]:
+def _blocks(header: dict) -> list[tuple[str, str, tuple[int, ...]]]:
     """(name, little-endian dtype, shape) of each payload array, in file order."""
     n_kept, p, n_trees = header["n_kept"], header["p"], header["n_trees"]
-    if version == 1:
-        blocks = [("counts", "<i8", (n_kept, p)), ("inclusion", "u1", (n_kept, p))]
-    else:
-        blocks = [
-            ("draw_ptr", "<i8", (n_kept + 1,)),
-            ("feature", "<i4", (header["nnz"],)),
-            ("count", "<i4", (header["nnz"],)),
-        ]
-    blocks += [
+    blocks = [
+        ("draw_ptr", "<i8", (n_kept + 1,)),
+        ("feature", "<i4", (header["nnz"],)),
+        ("count", "<i4", (header["nnz"],)),
         ("sigma2_path", "<f8", (n_kept,)),
         ("insample_mean_path", "<f8", (n_kept,)),
         ("leaf_counts", "<i4", (n_kept, n_trees)),
@@ -304,11 +324,7 @@ def _blocks(header: dict, version: int) -> list[tuple[str, str, tuple[int, ...]]
     if header["has_s"]:
         blocks.append(("s_path", "<f8", (n_kept, p)))
     if header["has_mi"]:
-        if version == TRACE_VERSION:
-            blocks.append(("mi_sum", "<f8", (p,)))
-        else:
-            total = sum(header["mi_sizes"])
-            blocks += [("mi_features", "<i8", (total,)), ("mi_probs", "<f8", (total,))]
+        blocks.append(("mi_sum", "<f8", (p,)))
     return blocks
 
 
@@ -332,49 +348,26 @@ def write_trace(trace: PosteriorTrace, path) -> None:
         fh.write(bytes([TRACE_VERSION]))
         fh.write(struct.pack("<I", len(header_bytes)))
         fh.write(header_bytes)
-        for name, dtype, _ in _blocks(header, TRACE_VERSION):
+        for name, dtype, _ in _blocks(header):
             fh.write(np.ascontiguousarray(getattr(trace, name), dtype=dtype))
 
 
-# the keys of every version's header; versions 2 and 3 add "nnz", and
-# versions 1 and 2 add "mi_sizes"
-_HEADER_KEYS = ("n_kept", "p", "n_trees", "seed", "config", "has_mi", "has_alpha", "has_s")
+_HEADER_KEYS = ("n_kept", "p", "n_trees", "seed", "config", "has_mi", "has_alpha", "has_s", "nnz")
 
 
-def _check_header(header, version: int, path: Path) -> None:
+def _check_header(header, path: Path) -> None:
     """Name what is wrong with a trace header before any payload is read."""
     if not isinstance(header, dict):
         raise TraceFormatError(f"{path}: header is not a JSON object")
-    extra = ("nnz",) if version >= 2 else ()
-    old_mi = ("mi_sizes",) if version < 3 else ()
-    missing = [key for key in _HEADER_KEYS + extra + old_mi if key not in header]
+    missing = [key for key in _HEADER_KEYS if key not in header]
     if missing:
         raise TraceFormatError(f"{path}: header lacks {', '.join(missing)}")
-    for key in ("n_kept", "p", "n_trees", *extra):
+    for key in ("n_kept", "p", "n_trees", "nnz"):
         value = header[key]
         if type(value) is not int or value < 0:
             raise TraceFormatError(f"{path}: header {key} must be an integer >= 0, got {value!r}")
     if type(header["seed"]) is not int:
         raise TraceFormatError(f"{path}: header seed must be an integer, got {header['seed']!r}")
-    if old_mi and header["has_mi"]:
-        sizes = header["mi_sizes"]
-        if not (isinstance(sizes, list) and all(type(size) is int and size >= 0 for size in sizes)):
-            raise TraceFormatError(f"{path}: header mi_sizes must be a list of integers >= 0")
-        if len(sizes) != header["n_kept"]:
-            raise TraceFormatError(f"{path}: MI size table has {len(sizes)} entries")
-
-
-def _fold_mi_log(header: dict, features: np.ndarray, probs: np.ndarray, path: Path) -> np.ndarray:
-    """The MI sum of a version 1 or 2 per-draw MI log."""
-    p = header["p"]
-    if features.size and not (features.min() >= 0 and features.max() < p):
-        raise TraceFormatError(f"{path}: MI feature outside 0..{p - 1}")
-    mi_sum = np.zeros(p)
-    start = 0
-    for size in header["mi_sizes"]:
-        mi_sum += mi_term(features[start : start + size], probs[start : start + size], p)
-        start += size
-    return mi_sum
 
 
 def _check_split_counts(trace: PosteriorTrace, path: Path) -> None:
@@ -394,25 +387,25 @@ def _check_split_counts(trace: PosteriorTrace, path: Path) -> None:
 
 
 def read_trace(path) -> PosteriorTrace:
-    """Read a trace file of version 1, 2 or 3. Each array is read once,
-    straight from the file; a version-1 dense count matrix is checked against
-    its inclusion block and converted to CSR, and the per-draw MI log of
-    versions 1 and 2 is folded into the MI sum."""
+    """Read a version-3 trace file, each array once and straight from the file."""
     path = Path(path)
     with path.open("rb") as fh:
         lead = fh.read(9)
         if len(lead) < 9 or lead[:4] != TRACE_MAGIC:
             raise TraceFormatError(f"{path}: not a trace file (bad magic)")
         version = lead[4]
-        if version not in (1, 2, TRACE_VERSION):
-            raise TraceFormatError(f"{path}: unsupported trace version {version}")
+        if version != TRACE_VERSION:
+            raise TraceFormatError(
+                f"{path}: unsupported trace version {version}: only version {TRACE_VERSION} "
+                "is read; refitting with the same data, seed and config rewrites the file"
+            )
         (header_len,) = struct.unpack_from("<I", lead, 5)
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise TraceFormatError(f"{path}: corrupt header: {exc}") from exc
-        _check_header(header, version, path)
-        blocks = _blocks(header, version)
+        _check_header(header, path)
+        blocks = _blocks(header)
         need = sum(np.dtype(dtype).itemsize * math.prod(shape) for _, dtype, shape in blocks)
         have = os.fstat(fh.fileno()).st_size - fh.tell()
         if have < need:
@@ -424,33 +417,9 @@ def read_trace(path) -> PosteriorTrace:
             arrays[name] = arr = np.empty(shape, dtype=dtype)
             if fh.readinto(arr) != arr.nbytes:
                 raise TraceFormatError(f"{path}: truncated payload in {name}")
-    if "mi_features" in arrays:
-        arrays["mi_sum"] = _fold_mi_log(header, arrays["mi_features"], arrays["mi_probs"], path)
-    rest = dict(
-        sigma2_path=arrays["sigma2_path"],
-        insample_mean_path=arrays["insample_mean_path"],
-        leaf_counts=arrays["leaf_counts"],
-        seed=header["seed"],
-        config_echo=header["config"],
-        mi_sum=arrays.get("mi_sum"),
-        alpha_path=arrays.get("alpha_path"),
-        s_path=arrays.get("s_path"),
+    trace = PosteriorTrace(
+        p=header["p"], seed=header["seed"], config_echo=header["config"], **arrays
     )
-    if version == 1:
-        counts = arrays["counts"]
-        if not np.array_equal(arrays["inclusion"] != 0, counts > 0):
-            raise TraceFormatError(f"{path}: inclusion matrix inconsistent with counts")
-        if counts.size and counts.max() > np.iinfo(np.int32).max:
-            raise TraceFormatError(f"{path}: split count above {np.iinfo(np.int32).max}")
-        trace = PosteriorTrace.from_counts(counts, **rest)
-    else:
-        trace = PosteriorTrace(
-            draw_ptr=arrays["draw_ptr"],
-            feature=arrays["feature"],
-            count=arrays["count"],
-            p=header["p"],
-            **rest,
-        )
     _check_split_counts(trace, path)
     return trace
 
@@ -521,9 +490,10 @@ def build_results_document(
 ) -> ResultsDocument:
     sel = sorted(result.selection.selected)
     names = list(dataset.feature_names)
+    method = result.config.method
     config = {
-        "method": result.method,
-        "l_rep": resolve_l_rep(result.method, result.config.l_rep),
+        "method": method,
+        "l_rep": resolve_l_rep(method, result.config.l_rep),
         "l_perm": result.config.l_perm,
         "alpha": result.config.alpha,
         "seed": result.config.seed,
@@ -534,7 +504,7 @@ def build_results_document(
     }
     thresholds = result.selection.thresholds
     return ResultsDocument(
-        method=result.method,
+        method=method,
         config=config,
         feature_names=names,
         importance=[float(v) for v in result.selection.importance],

@@ -7,6 +7,7 @@ import pytest
 
 from bartsel import Dataset, PosteriorTrace, validate_dataset
 from bartsel.summaries import mi_term
+from oracles import trace_from_counts
 
 
 def mi_sum_of(p: int, mi_features, mi_probs) -> np.ndarray:
@@ -30,7 +31,7 @@ def make_trace(
     per-draw MI node log is given, its MI sum."""
     counts = np.asarray(counts, dtype=np.int64)
     k, p = counts.shape
-    trace = PosteriorTrace.from_counts(
+    trace = trace_from_counts(
         counts,
         sigma2_path=np.ones(k),
         insample_mean_path=np.zeros(k),

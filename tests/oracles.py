@@ -5,26 +5,23 @@ clustering, exhaustive threshold scans, bisection, tree queries by descent
 from the root, node rows by O(n) mask scans) so they share no code path with
 the package internals they verify. The straightforward versions of
 optimised package code are kept too, as bit-exact references: UPGMA by
-submatrix copies, the G.SE linear scan, the dense split-count summaries and
-the version-1 trace layout. The helpers at the end are the
-exception. The split gain exposes the sampler's own node-gain formula so the
-tests can check it against full marginal likelihoods. The tree and grid
-views, the leaf statistics and the one-leaf draw are small helpers that only
-tests use, so they live here and not in the package.
+submatrix copies, the G.SE linear scan and the dense split-count summaries.
+The helpers at the end are the exception. The split gain exposes the
+sampler's own node-gain formula so the tests can check it against full
+marginal likelihoods. The tree and grid views, the trace built from dense
+counts, the leaf statistics and the one-leaf draw are small helpers that
+only tests use, so they live here and not in the package.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.special import gammaln
 
-from bartsel import CutpointGrid, DecisionTree, EnsembleSampler, leaf_posterior
+from bartsel import CutpointGrid, DecisionTree, EnsembleSampler, PosteriorTrace, leaf_posterior
 from bartsel.sampler import _node_gains
 
 
@@ -255,7 +252,7 @@ def gse_scan(null: np.ndarray, alpha: float) -> tuple[float, np.ndarray]:
     return c_star, means + c_star * sds
 
 
-# -- dense split-count summaries and the version-1 trace layout ------------------
+# -- dense split-count summaries -----------------------------------------------
 
 
 def dense_vip(counts: np.ndarray) -> np.ndarray:
@@ -305,53 +302,6 @@ def mi_log_by_steps(dataset, config):
             features.append(np.array([tree.feature[i] for tree, i in nodes], dtype=np.int64))
             tags.append(np.array([tree.accept_prob[i] for tree, i in nodes], dtype=np.float64))
     return features, tags
-
-
-def write_trace_v1(trace, path, mi_log=None) -> None:
-    """Write ``trace`` in the version-1 layout: dense int64 counts and a
-    uint8 inclusion matrix in place of the CSR arrays, no nnz, and the
-    per-draw MI node log ``mi_log`` = (features, tags) if given."""
-    counts = trace.counts
-    _write_old_trace(trace, path, 1, [(counts, "<i8"), (counts > 0, "u1")], mi_log)
-
-
-def write_trace_v2(trace, path, mi_log=None) -> None:
-    """Write ``trace`` in the version-2 layout: the CSR arrays, and the
-    per-draw MI node log ``mi_log`` = (features, tags) if given."""
-    csr = [(trace.draw_ptr, "<i8"), (trace.feature, "<i4"), (trace.count, "<i4")]
-    _write_old_trace(trace, path, 2, csr, mi_log, nnz=int(trace.count.size))
-
-
-def _write_old_trace(trace, path, version, count_arrays, mi_log, **extra) -> None:
-    header = {
-        "n_kept": trace.n_kept,
-        "p": trace.p,
-        "n_trees": int(trace.leaf_counts.shape[1]),
-        "seed": int(trace.seed),
-        "config": trace.config_echo,
-        "has_mi": mi_log is not None,
-        "has_alpha": trace.alpha_path is not None,
-        "has_s": trace.s_path is not None,
-        "mi_sizes": None if mi_log is None else [len(a) for a in mi_log[0]],
-        **extra,
-    }
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    parts = [b"BVC1", bytes([version]), struct.pack("<I", len(header_bytes)), header_bytes]
-    arrays = count_arrays + [
-        (trace.sigma2_path, "<f8"),
-        (trace.insample_mean_path, "<f8"),
-        (trace.leaf_counts, "<i4"),
-    ]
-    if trace.alpha_path is not None:
-        arrays.append((trace.alpha_path, "<f8"))
-    if trace.s_path is not None:
-        arrays.append((trace.s_path, "<f8"))
-    if mi_log is not None:
-        features, tags = mi_log
-        arrays.append((np.concatenate([np.zeros(0, dtype=np.int64), *features]), "<i8"))
-        arrays.append((np.concatenate([np.zeros(0), *tags]), "<f8"))
-    parts += [np.ascontiguousarray(arr, dtype=dtype).tobytes() for arr, dtype in arrays]
-    Path(path).write_bytes(b"".join(parts))
 
 
 # -- trees and the sampler's transition kernel ----------------------------------
@@ -583,7 +533,7 @@ def alpha_log_weights(s: np.ndarray, a: float, b: float, rho: float, grid_size: 
     return alpha_grid, logw
 
 
-# -- tree and grid views the sampler does not need -----------------------------
+# -- tree, grid and trace views the package does not need ----------------------
 
 
 def split_counts(tree: DecisionTree, p: int) -> np.ndarray:
@@ -597,6 +547,22 @@ def split_counts(tree: DecisionTree, p: int) -> np.ndarray:
 def cutpoint_count(grid: CutpointGrid, j: int) -> int:
     """Number of candidate cutpoints of feature ``j``."""
     return grid.grids[j].size
+
+
+def trace_from_counts(counts, **rest) -> PosteriorTrace:
+    """A trace holding the dense (n_kept, p) split-count matrix ``counts``
+    in CSR form; ``rest`` gives the other fields."""
+    counts = np.asarray(counts)
+    draws, feature = np.nonzero(counts)  # row-major: features ascend per draw
+    draw_ptr = np.zeros(counts.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(counts, axis=1), out=draw_ptr[1:])
+    return PosteriorTrace(
+        draw_ptr=draw_ptr,
+        feature=feature.astype(np.int32),
+        count=counts[draws, feature].astype(np.int32),
+        p=counts.shape[1],
+        **rest,
+    )
 
 
 # -- leaf statistics and the sampler's split gain, for checks against full marginals

@@ -17,8 +17,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conftest import make_trace, mi_sum_of, random_mi_log, random_trace
-from oracles import mi_log_by_steps, write_trace_v1, write_trace_v2
+from conftest import make_trace, random_mi_log, random_trace
 import bartsel
 from bartsel.benchmark import GridPoint, GridRowResult, compute_metrics
 from bartsel.cli import _jobs_value, main
@@ -120,9 +119,8 @@ class TestTraceFile:
         features[1], tags[1] = np.zeros(0, dtype=np.int64), np.zeros(0)
         trace = make_trace(rng.integers(0, 5, size=(3, 2)), mi_features=features, mi_probs=tags)
         path = tmp_path / "t.trace"
-        for write in (write_trace, lambda t, out: write_trace_v2(t, out, (features, tags))):
-            write(trace, path)
-            assert read_trace(path) == trace
+        write_trace(trace, path)
+        assert read_trace(path) == trace
 
     def write_valid(self, tmp_path):
         trace = random_trace(np.random.default_rng(3), k=4, p=2)
@@ -136,12 +134,17 @@ class TestTraceFile:
         with pytest.raises(TraceFormatError, match="bad magic"):
             read_trace(path)
 
-    def test_unsupported_version(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2, 9])
+    def test_unsupported_version(self, tmp_path, version):
         path = self.write_valid(tmp_path)
         buf = bytearray(path.read_bytes())
-        buf[4] = 9
+        buf[4] = version
         path.write_bytes(bytes(buf))
-        with pytest.raises(TraceFormatError, match="unsupported trace version 9"):
+        message = (
+            f"unsupported trace version {version}: only version 3 is read; "
+            "refitting with the same data, seed and config rewrites the file"
+        )
+        with pytest.raises(TraceFormatError, match=re.escape(message)):
             read_trace(path)
 
     def test_truncated_payload(self, tmp_path):
@@ -178,23 +181,10 @@ class TestTraceFile:
         with pytest.raises(TraceFormatError, match=re.escape(message)):
             read_trace(path)
 
-    def test_inconsistent_inclusion(self, tmp_path):
-        counts = np.random.default_rng(4).integers(0, 5, size=(4, 2))
-        counts[0, 0] = 3  # make the first count cell nonzero, then zero it on disk
-        path = tmp_path / "t.trace"
-        write_trace_v1(make_trace(counts), path)
-        buf = bytearray(path.read_bytes())
-        header_len = int.from_bytes(buf[5:9], "little")
-        start = 9 + header_len
-        buf[start : start + 8] = (0).to_bytes(8, "little")
-        path.write_bytes(bytes(buf))
-        with pytest.raises(TraceFormatError, match="inclusion matrix inconsistent"):
-            read_trace(path)
 
-
-def v1_fixture_fit():
-    """The fit the committed version-1 fixture holds: DART with the MI log
-    and the s path, seed 4; its first kept draw has no splits."""
+def fixture_fit():
+    """The fit the committed trace fixture holds: DART with the MI sum and
+    the s path, seed 4; its first kept draw has no splits."""
     rng = np.random.default_rng(2024)
     X = rng.uniform(size=(24, 4))
     y = X[:, 0] + rng.normal(0.0, 1.0, 24)
@@ -206,8 +196,7 @@ def v1_fixture_fit():
 
 
 def split_blocks(buf: bytes):
-    """(lead and header, draw_ptr, feature, count, rest) of a version-2 or
-    version-3 file."""
+    """(lead and header, draw_ptr, feature, count, rest) of a trace file."""
     header_len = int.from_bytes(buf[5:9], "little")
     header = json.loads(buf[9 : 9 + header_len])
     pos = 9 + header_len
@@ -221,43 +210,18 @@ def split_blocks(buf: bytes):
 
 
 class TestTraceVersions:
-    def test_version_1_fixture_reads_back(self, tmp_path):
-        want = v1_fixture_fit()
-        loaded = read_trace(FIXTURES / "trace-v1.bvc")
-        assert loaded == want
+    def test_version_3_fixture_reads_back(self):
+        loaded = read_trace(FIXTURES / "trace-v3.bvc")
+        assert loaded == fixture_fit()
         assert loaded.draw_ptr[1] == 0 and loaded.n_kept == 16 and loaded.p == 4
+
+    def test_version_3_fixture_bytes_match_write_trace(self, tmp_path):
+        # pins the byte layout: a change to write_trace must not go unseen
         path = tmp_path / "t.trace"
-        write_trace(loaded, path)
-        assert path.read_bytes()[4] == 3
-        assert read_trace(path) == want
+        write_trace(fixture_fit(), path)
+        assert path.read_bytes() == (FIXTURES / "trace-v3.bvc").read_bytes()
 
-    def test_version_2_fixture_reads_back(self):
-        # written from the same fit by the version-2 writer, MI log included
-        loaded = read_trace(FIXTURES / "trace-v2.bvc")
-        assert (FIXTURES / "trace-v2.bvc").read_bytes()[4] == 2
-        assert loaded == v1_fixture_fit() == read_trace(FIXTURES / "trace-v1.bvc")
-
-    def test_version_1_count_above_int32_named(self, tmp_path):
-        path = tmp_path / "t.trace"
-        write_trace_v1(make_trace([[1, 0]]), path)
-        buf = bytearray(path.read_bytes())
-        start = 9 + int.from_bytes(buf[5:9], "little")
-        buf[start : start + 8] = (2**32 + 1).to_bytes(8, "little")  # would wrap to 1
-        path.write_bytes(bytes(buf))
-        with pytest.raises(TraceFormatError, match="split count above 2147483647"):
-            read_trace(path)
-
-    def test_version_1_layout_reads_as_csr(self, tmp_path):
-        rng = np.random.default_rng(9)
-        for mi_log in (None, random_mi_log(rng, 6, 4)):
-            trace = random_trace(rng, k=6, p=4)
-            if mi_log is not None:
-                trace.mi_sum = mi_sum_of(4, *mi_log)
-            path = tmp_path / "t.trace"
-            write_trace_v1(trace, path, mi_log)
-            assert read_trace(path) == trace
-
-    FITS = pytest.mark.parametrize(
+    @pytest.mark.parametrize(
         "config",
         [
             FitConfig(n_trees=3, burn_in=10, n_draws=12, seed=1),
@@ -268,17 +232,6 @@ class TestTraceVersions:
         ],
         ids=["bart", "dart-mi-s-path"],
     )
-
-    @FITS
-    def test_version_2_round_trips_a_fit(self, tmp_path, signal_dataset, config):
-        # the reader folds the fit's per-draw MI log into the sampler's sum
-        trace = bartsel.fit(signal_dataset, config)
-        mi_log = mi_log_by_steps(signal_dataset, config) if config.track_mi else None
-        path = tmp_path / "t.trace"
-        write_trace_v2(trace, path, mi_log)
-        assert read_trace(path) == trace
-
-    @FITS
     def test_version_3_round_trips_a_fit(self, tmp_path, signal_dataset, config):
         trace = bartsel.fit(signal_dataset, config)
         path = tmp_path / "t.trace"
@@ -293,38 +246,6 @@ class TestTraceVersions:
             payload += 8 * p
         header_len = int.from_bytes(path.read_bytes()[5:9], "little")
         assert path.stat().st_size == 9 + header_len + payload
-
-    @pytest.mark.parametrize(
-        "edit, message",
-        [
-            (lambda header: header.update(mi_sizes=None), "mi_sizes must be a list of integers"),
-            (lambda header: header.update(mi_sizes=[1, -1, 0]), "mi_sizes must be a list of"),
-            (lambda header: header.update(mi_sizes=[1]), "MI size table has 1 entries"),
-            (lambda header: header.pop("mi_sizes"), "header lacks mi_sizes"),
-        ],
-    )
-    def test_version_2_malformed_mi_log_header_named(self, tmp_path, edit, message):
-        trace = make_trace([[1, 0], [0, 2], [0, 0]], mi_features=[[0], [1, 1], []],
-                           mi_probs=[[0.5], [1.0, 0.25], []])
-        path = tmp_path / "t.trace"
-        write_trace_v2(trace, path, ([[0], [1, 1], []], [[0.5], [1.0, 0.25], []]))
-        buf = path.read_bytes()
-        header_len = int.from_bytes(buf[5:9], "little")
-        header = json.loads(buf[9 : 9 + header_len])
-        edit(header)
-        header_bytes = json.dumps(header).encode("utf-8")
-        path.write_bytes(
-            buf[:5] + len(header_bytes).to_bytes(4, "little") + header_bytes + buf[9 + header_len :]
-        )
-        with pytest.raises(TraceFormatError, match=re.escape(message)):
-            read_trace(path)
-
-    def test_version_2_mi_feature_out_of_range_named(self, tmp_path):
-        trace = make_trace([[1, 0]], mi_features=[[0]], mi_probs=[[0.5]])
-        path = tmp_path / "t.trace"
-        write_trace_v2(trace, path, ([[2]], [[0.5]]))
-        with pytest.raises(TraceFormatError, match=re.escape("MI feature outside 0..1")):
-            read_trace(path)
 
     def test_draws_without_splits_round_trip(self, tmp_path):
         for counts, nodes in (
@@ -430,6 +351,14 @@ class TestReadDatasetCsv:
         with pytest.raises(DataError, match="no feature columns"):
             read_dataset_csv(path)
 
+    @pytest.mark.parametrize(
+        "header, repeated", [(["y", "x1", "y"], "y"), (["y", "x1", "x2", "x1"], "x1")]
+    )
+    def test_repeated_column_named(self, tmp_path, header, repeated):
+        path = write_csv(tmp_path / "d.csv", header, [list(range(len(header)))])
+        with pytest.raises(DataError, match=f"column '{repeated}' appears more than once"):
+            read_dataset_csv(path)
+
 
 # -- grid files -------------------------------------------------------------------
 
@@ -447,6 +376,9 @@ GRID_PAYLOAD = {
         {"equation": "lin2", "method": "bart-vip-local", "n": 30, "snr": "noiseless", "l_perm": 7},
     ],
 }
+
+
+PRODUCT2_POINT = {"equation": "product2", "method": "dart-mpm", "n": 5}
 
 
 class TestGridFile:
@@ -521,6 +453,34 @@ class TestGridFile:
                     "points": [{"equation": "e", "method": "dart-mpm", "n": 5}],
                 },
                 "fit option 'track_mi' is set by the method run",
+            ),
+            # mistakes that would otherwise fail every row at run time
+            (
+                {"points": [{**PRODUCT2_POINT, "fit": {"trees": 2.5}}]},
+                r"points\[0\]: fit option 'trees' must be an integer, got 2.5",
+            ),
+            (
+                {"points": [{**PRODUCT2_POINT, "fit": {"draws": "9"}}]},
+                "fit option 'draws' must be an integer, got '9'",
+            ),
+            (
+                {"points": [{**PRODUCT2_POINT, "fit": {"gamma": 2}}]},
+                r"points\[0\]: fit: gamma must lie in \(0, 1\), got 2",
+            ),
+            (
+                {
+                    "equations": {"bad": {"expression": "x1 +", "ranges": [[0, 1]]}},
+                    "points": [{"equation": "bad", "method": "dart-mpm", "n": 5}],
+                },
+                r"equations\['bad'\]: cannot parse expression 'x1 \+'",
+            ),
+            (
+                {"equations": {"bad": {"ranges": [[0, 1]]}}, "points": [{}]},
+                r"equations\['bad'\]: equation 'bad' is missing key 'expression'",
+            ),
+            (
+                {"points": [{"equation": "e", "method": "dart-mpm", "n": 5}]},
+                r"points\[0\]: unknown equation 'e'",
             ),
         ],
     )
@@ -969,10 +929,12 @@ class TestCliBenchmark:
         assert "unknown method" in result.stderr
 
     def test_runtime_error_rows_do_not_fail_the_run(self, runner, tmp_path):
+        # a valid file whose equation is non-finite everywhere fails at data generation
         payload = {
+            "equations": {"nan1": {"expression": "log(x1 - 5)", "ranges": [[0, 1]]}},
             "points": [
                 {
-                    "equation": "missing-eq",
+                    "equation": "nan1",
                     "method": "dart-mpm",
                     "n": 10,
                     "fit": {"trees": 2, "burnin": 5, "draws": 5},
@@ -985,7 +947,7 @@ class TestCliBenchmark:
         assert result.exit_code == 0, result.output
         assert "ERROR" in result.output and "1 errors" in result.output
         records = read_metrics_csv(out / "metrics.csv")
-        assert "unknown equation" in records[0]["error"]
+        assert "stayed non-finite" in records[0]["error"]
 
 
 class TestCliReport:

@@ -19,6 +19,7 @@ from bartsel import (
 from oracles import (
     cutpoint_count,
     split_counts,
+    trace_from_counts,
     tree_internals,
     tree_leaves,
     tree_live,
@@ -102,7 +103,7 @@ class TestCutpointGrid:
 
 def full_trace() -> PosteriorTrace:
     """A two-draw trace with every optional field present."""
-    return PosteriorTrace.from_counts(
+    return trace_from_counts(
         [[1, 0, 2], [0, 1, 1]],
         sigma2_path=np.array([0.5, 0.25]),
         insample_mean_path=np.array([1.0, 1.5]),

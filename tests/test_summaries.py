@@ -27,7 +27,7 @@ from bartsel import (
 from bartsel.summaries import SOURCE_VC_MEASURE, SOURCE_VIP_MEASURE, SOURCE_VIP_RANK, importance
 
 from conftest import make_trace, random_mi_log, random_trace
-from oracles import dense_mpvip, dense_vc, dense_vip, mi_from_log, write_trace_v1
+from oracles import dense_mpvip, dense_vc, dense_vip, mi_from_log
 
 
 def vip_by_hand(counts: np.ndarray) -> np.ndarray:
@@ -163,9 +163,6 @@ class TestSparseCounts:
         self.assert_dense_equal(fit(small_dataset, config))
 
     def test_package_never_builds_the_dense_matrix(self, monkeypatch, small_dataset, tmp_path):
-        v1_path = tmp_path / "v1.trace"
-        write_trace_v1(make_trace([[1, 0, 2], [0, 0, 0]]), v1_path)
-
         def dense(self):
             raise AssertionError("dense split counts built")
 
@@ -177,10 +174,9 @@ class TestSparseCounts:
             small_dataset,
             replace(config, prior_kind="dart", track_mi=True, track_s_path=True),
         )
-        path = tmp_path / "v2.trace"
+        path = tmp_path / "t.trace"
         write_trace(trace, path)
         assert read_trace(path) == trace
-        read_trace(v1_path)
         build_summary_matrix([trace, trace], SOURCE_VC_MEASURE)
 
 
