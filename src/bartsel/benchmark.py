@@ -24,7 +24,7 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from .data import Dataset, FitConfig, validate_dataset
-from .methods import METHOD_SPECS, RunConfig, run_method
+from .methods import RunConfig, run_method
 from .sampler import Workers
 
 __all__ = [
@@ -320,6 +320,22 @@ class GridPoint:
     def fit_config(self) -> FitConfig:
         return replace(FitConfig(), **dict(self.fit_overrides))
 
+    @property
+    def data_seed(self) -> int:
+        return self.seed + REPLICATE_SEED_STRIDE * self.replicate
+
+    def run_config(self, jobs: int = 1) -> RunConfig:
+        """The point's selection run, which fits with seed data_seed + 1."""
+        return RunConfig(
+            method=self.method,
+            fit=self.fit_config(),
+            l_rep=self.l_rep,
+            l_perm=self.l_perm,
+            alpha=self.alpha,
+            seed=self.data_seed + 1,
+            jobs=jobs,
+        )
+
 
 @dataclass
 class GridRowResult:
@@ -337,10 +353,8 @@ class GridRowResult:
 
 
 def _data_key(pt: GridPoint) -> tuple:
-    """The key of a grid point's dataset; points with equal keys share it
-    and its ``run_method`` cache."""
-    data_seed = pt.seed + REPLICATE_SEED_STRIDE * pt.replicate
-    return (pt.equation, pt.n, pt.snr, pt.s_copies, data_seed)
+    """A grid point's dataset key; points sharing it share its ``run_method`` cache."""
+    return (pt.equation, pt.n, pt.snr, pt.s_copies, pt.data_seed)
 
 
 def _run_point(
@@ -350,26 +364,15 @@ def _run_point(
     dataset_cache: dict,
     workers: Workers,
 ) -> GridRowResult:
-    if pt.method not in METHOD_SPECS:
-        raise BenchmarkError(f"unknown method {pt.method!r}")
+    config = pt.run_config(workers.jobs)
     if pt.equation not in equations:
         raise BenchmarkError(f"unknown equation {pt.equation!r}")
     eq = _coerce_equation(pt.equation, equations[pt.equation])
     dkey = _data_key(pt)
-    data_seed = dkey[-1]
     if dkey not in dataset_cache:
-        dataset, info = generate_dataset_with_info(eq, pt.n, pt.snr, pt.s_copies, data_seed)
+        dataset, info = generate_dataset_with_info(eq, pt.n, pt.snr, pt.s_copies, pt.data_seed)
         dataset_cache[dkey] = (dataset, info, {})
     dataset, info, fit_cache = dataset_cache[dkey]
-    config = RunConfig(
-        method=pt.method,
-        fit=pt.fit_config(),
-        l_rep=pt.l_rep,
-        l_perm=pt.l_perm,
-        alpha=pt.alpha,
-        seed=data_seed + 1,
-        jobs=workers.jobs,
-    )
     result = run_method(dataset, config, cache=fit_cache, workers=workers)
     selected = result.selection.selected
     metrics = compute_metrics(selected, dataset.truth, dataset.p, runtime_s=result.runtime_s)
@@ -377,7 +380,7 @@ def _run_point(
         index=index,
         point=pt,
         p=dataset.p,
-        data_seed=data_seed,
+        data_seed=pt.data_seed,
         selected=tuple(sorted(selected)),
         metrics=metrics,
         var_f=info["var_f"],

@@ -106,16 +106,15 @@ def main() -> None:
 )
 def cmd_fit(csv_path, response, trees, burnin, draws, prior, seed, out) -> None:
     """Fit one posterior on a CSV dataset and write a trace file."""
-    config = FitConfig(
-        n_trees=trees,
-        burn_in=burnin,
-        n_draws=draws,
-        prior_kind=prior,
-        track_mi=True,
-        seed=seed,
-    )
     try:
-        config.validate()
+        config = FitConfig(
+            n_trees=trees,
+            burn_in=burnin,
+            n_draws=draws,
+            prior_kind=prior,
+            track_mi=True,
+            seed=seed,
+        )
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     try:
@@ -155,17 +154,16 @@ def cmd_select(
     csv_path, method, response, trees, burnin, draws, lrep, lperm, alpha, seed, jobs, out
 ) -> None:
     """Run one variable-selection method end to end on a CSV dataset."""
-    run_config = RunConfig(
-        method=method,
-        fit=FitConfig(n_trees=trees, burn_in=burnin, n_draws=draws),
-        l_rep=lrep,
-        l_perm=lperm,
-        alpha=alpha,
-        seed=seed,
-        jobs=_jobs_value(jobs),
-    )
     try:
-        run_config.validate()
+        run_config = RunConfig(
+            method=method,
+            fit=FitConfig(n_trees=trees, burn_in=burnin, n_draws=draws),
+            l_rep=lrep,
+            l_perm=lperm,
+            alpha=alpha,
+            seed=seed,
+            jobs=_jobs_value(jobs),
+        )
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     try:
@@ -277,7 +275,6 @@ def cmd_report(path) -> None:
             if not metrics_path.exists():
                 raise click.UsageError(f"{path} contains no metrics.csv")
             records = read_metrics_csv(metrics_path)
-            write_aggregate_csv(path / "aggregate.csv", records)
             errors = [rec for rec in records if rec["error"]]
             click.echo(f"{len(records)} rows, {len(errors)} errors")
             _print_aggregate(records)

@@ -346,7 +346,8 @@ class FitConfig:
     sweeps, 5000 kept draws, split prior gamma/(1+d)^beta with gamma=0.95,
     beta=2, leaf sd 0.5/(k_leaf*sqrt(T)) with k_leaf=2, noise prior
     Inv-Gamma(nu/2, nu*lambda/2) with nu=3 and lambda calibrated so
-    P(sigma < sd(y_scaled)) = q = 0.9.
+    P(sigma < sd(y_scaled)) = q = 0.9. An invalid value raises ValueError
+    on construction.
     """
 
     n_trees: int = 20
@@ -368,7 +369,7 @@ class FitConfig:
     track_mi: bool = False
     track_s_path: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_trees < 1:
             raise ValueError("n_trees must be >= 1")
         if self.burn_in < 0 or self.n_draws < 1:

@@ -109,7 +109,8 @@ def resolve_l_rep(method: str, l_rep: int | None) -> int:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One selection run: method plus fit, replication, and threshold knobs."""
+    """One selection run: method plus fit, replication, and threshold knobs.
+    An invalid value raises ValueError on construction."""
 
     method: str
     fit: FitConfig = field(default_factory=FitConfig)
@@ -119,21 +120,19 @@ class RunConfig:
     seed: int = 0
     jobs: int = 1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.method not in METHOD_SPECS:
             raise ValueError(
                 f"unknown method {self.method!r}; choose one of {', '.join(METHOD_NAMES)}"
             )
-        spec = METHOD_SPECS[self.method]
         if resolve_l_rep(self.method, self.l_rep) < 1:
             raise ValueError("l_rep must be >= 1")
-        if spec.needs_null and self.l_perm < 1:
+        if METHOD_SPECS[self.method].needs_null and self.l_perm < 1:
             raise ValueError(f"method {self.method!r} needs l_perm >= 1 permutations")
         if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        self.fit.validate()
 
     def fit_config(self) -> FitConfig:
         """The per-fit configuration: the method's prior, with the MI sum kept."""
@@ -252,7 +251,6 @@ def run_method(
     caller closes (``run_grid`` passes one per grid), runs them instead; its
     ``jobs`` must equal ``config.jobs`` (ValueError otherwise).
     """
-    config.validate()
     if workers is not None and workers.jobs != config.jobs:
         raise ValueError(f"workers hold {workers.jobs} jobs but config.jobs is {config.jobs}")
     spec = METHOD_SPECS[config.method]

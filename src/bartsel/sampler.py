@@ -401,7 +401,6 @@ class EnsembleSampler:
         config: FitConfig,
         rng: np.random.Generator | None = None,
     ) -> None:
-        config.validate()
         self.config = config
         self.rng = rng if rng is not None else np.random.default_rng(config.seed)
         self.X = np.ascontiguousarray(dataset.X, dtype=np.float64)

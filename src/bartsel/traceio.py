@@ -52,7 +52,7 @@ from .benchmark import (
     _coerce_equation,
 )
 from .data import DataError, Dataset, FitConfig, PosteriorTrace, validate_dataset
-from .methods import METHOD_SPECS, MethodResult, resolve_l_rep
+from .methods import MethodResult, resolve_l_rep
 
 __all__ = [
     "TraceFormatError",
@@ -149,9 +149,8 @@ def read_dataset_csv(path, response: str = "y") -> Dataset:
 
 # short spellings accepted for FitConfig fields in grid files and nowhere else
 _FIT_ALIASES = {"trees": "n_trees", "burnin": "burn_in", "draws": "n_draws"}
-_FIT_FIELDS = set(FitConfig.__dataclass_fields__)
-# FitConfig's integer fields a grid file may set, which must be JSON integers
-_FIT_INTS = {"n_trees", "burn_in", "n_draws", "alpha_grid_size"}
+# each FitConfig field's annotation, which names the JSON type a grid file gives it
+_FIT_TYPES = FitConfig.__annotations__
 # FitConfig fields a grid file may not set, and what sets each instead
 _FIT_SET_ELSEWHERE = {
     "prior_kind": "the method",
@@ -170,6 +169,30 @@ _POINT_DEFAULTS = {
     "fit": {},
 }
 _POINT_KEYS = {"equation", "method", "n", *_POINT_DEFAULTS}
+# the annotation of the GridPoint field each point key sets, in check order
+# ("replicates", a count, takes replicate's); snr and fit have their own rules
+_POINT_TYPES = {
+    key: GridPoint.__annotations__[{"S": "s_copies", "replicates": "replicate"}.get(key, key)]
+    for key in ("equation", "method", "n", "S", "l_rep", "l_perm", "alpha", "seed", "replicates")
+}
+_POINT_MINIMA = {"n": 1, "S": 0, "seed": 0, "replicates": 1}
+# annotation -> the types json.loads gives for it (a bool is not an int), and its name
+_JSON_TYPES = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "bool": ((bool,), "true or false"),
+    "str": ((str,), "a string"),
+}
+
+
+def _check_json_type(value, annotation: str, what: str) -> None:
+    """GridFileError "{what} must be ..." unless ``value`` has the JSON type
+    of a field annotated ``annotation``; "T | None" also admits null."""
+    kinds, name = _JSON_TYPES[annotation.removesuffix(" | None")]
+    if annotation.endswith(" | None"):
+        kinds, name = (*kinds, type(None)), f"{name} or null"
+    if type(value) not in kinds:
+        raise GridFileError(f"{what} must be {name}, got {value!r}")
 
 
 def _fit_overrides(raw: dict, where: str) -> tuple[tuple[str, object], ...]:
@@ -178,35 +201,24 @@ def _fit_overrides(raw: dict, where: str) -> tuple[tuple[str, object], ...]:
     out = {}
     for key, value in raw.items():
         field_name = _FIT_ALIASES.get(key, key)
-        if field_name not in _FIT_FIELDS:
+        if field_name not in _FIT_TYPES:
             raise GridFileError(f"{where}: unknown fit option {key!r}")
         if field_name in _FIT_SET_ELSEWHERE:
             setter = _FIT_SET_ELSEWHERE[field_name]
             raise GridFileError(f"{where}: fit option {key!r} is set by {setter}")
-        if field_name in _FIT_INTS and type(value) is not int:
-            raise GridFileError(f"{where}: fit option {key!r} must be an integer, got {value!r}")
+        _check_json_type(value, _FIT_TYPES[field_name], f"{where}: fit option {key!r}")
         out[field_name] = value
-    try:
-        replace(FitConfig(), **out).validate()
-    except (TypeError, ValueError) as exc:
-        raise GridFileError(f"{where}: fit: {exc}") from None
     return tuple(sorted(out.items()))
 
 
 def _parse_snr(value, where: str) -> float | None:
-    if value is None:
+    if value is None or (isinstance(value, str) and value.strip().lower() == "noiseless"):
         return None
-    if isinstance(value, str):
-        if value.strip().lower() == "noiseless":
-            return None
+    if type(value) not in _JSON_TYPES["float"][0]:
         raise GridFileError(f"{where}: snr must be a positive number or \"noiseless\"")
-    try:
-        snr = float(value)
-    except (TypeError, ValueError):
-        raise GridFileError(f"{where}: snr must be a positive number or \"noiseless\"") from None
-    if not snr > 0:
+    if not value > 0:
         raise GridFileError(f"{where}: snr must be positive")
-    return snr
+    return float(value)
 
 
 def load_grid_file(path) -> tuple[list[GridPoint], dict]:
@@ -215,15 +227,17 @@ def load_grid_file(path) -> tuple[list[GridPoint], dict]:
     The file is JSON with optional "equations" (id -> {expression, ranges})
     and "defaults" sections plus a required "points" list. Each point names
     an equation and a method; n/snr/S/l_rep/l_perm/alpha/seed/fit fall back
-    to the defaults section, and "replicates": R expands the point into R
-    rows with replicate indices 0..R-1. "fit" may set any FitConfig field
-    but prior_kind, seed and track_mi (see ``_FIT_SET_ELSEWHERE``).
+    to the defaults section (a point's "fit" replaces the defaults' whole),
+    and "replicates": R expands the point into R rows with replicate indices
+    0..R-1. "fit" may set any FitConfig field but prior_kind, seed and
+    track_mi (see ``_FIT_SET_ELSEWHERE``).
 
     The whole file is checked here, so a mistake in it is a GridFileError
     and not an error row at run time: each equation entry must build an
-    ``EquationSpec``, each point must name a built-in or defined equation,
-    and its fit options must build a valid ``FitConfig``, with JSON
-    integers for its integer fields. The equations return as specs.
+    ``EquationSpec``; each point key and fit option must have the JSON type
+    of the field it sets, with n >= 1, S >= 0, seed >= 0 and replicates >= 1;
+    each point must build its ``FitConfig`` and its ``RunConfig``, and name
+    a built-in or defined equation. The equations return as specs.
     """
     path = Path(path)
     try:
@@ -263,45 +277,32 @@ def load_grid_file(path) -> tuple[list[GridPoint], dict]:
         if unknown:
             raise GridFileError(f"{where}: unknown keys {sorted(unknown)}")
         merged = {**_POINT_DEFAULTS, **defaults, **entry}
-        for required in ("equation", "method", "n"):
-            if required not in merged:
-                raise GridFileError(f"{where}: missing required key {required!r}")
-        method = merged["method"]
-        if method not in METHOD_SPECS:
-            raise GridFileError(f"{where}: unknown method {method!r}")
-        try:
-            n = int(merged["n"])
-            s_copies = int(merged["S"])
-            l_rep = None if merged["l_rep"] is None else int(merged["l_rep"])
-            l_perm = int(merged["l_perm"])
-            alpha = float(merged["alpha"])
-            seed = int(merged["seed"])
-            replicates = int(merged["replicates"])
-        except (TypeError, ValueError) as exc:
-            raise GridFileError(f"{where}: {exc}") from None
-        if replicates < 1:
-            raise GridFileError(f"{where}: replicates must be >= 1")
-        snr = _parse_snr(merged["snr"], where)
-        overrides = _fit_overrides(merged["fit"], where)
-        equation = str(merged["equation"])
-        if equation not in specs and equation not in REGISTRY:
-            raise GridFileError(f"{where}: unknown equation {equation!r}")
-        for r in range(replicates):
-            points.append(
-                GridPoint(
-                    equation=equation,
-                    n=n,
-                    snr=snr,
-                    s_copies=s_copies,
-                    method=method,
-                    l_rep=l_rep,
-                    l_perm=l_perm,
-                    alpha=alpha,
-                    seed=seed,
-                    replicate=r,
-                    fit_overrides=overrides,
-                )
-            )
+        for key, annotation in _POINT_TYPES.items():
+            if key not in merged:  # equation, method and n have no default
+                raise GridFileError(f"{where}: missing required key {key!r}")
+            _check_json_type(merged[key], annotation, f"{where}: {key}")
+            if key in _POINT_MINIMA and merged[key] < _POINT_MINIMA[key]:
+                raise GridFileError(f"{where}: {key} must be >= {_POINT_MINIMA[key]}")
+        point = GridPoint(
+            equation=merged["equation"],
+            n=merged["n"],
+            snr=_parse_snr(merged["snr"], where),
+            s_copies=merged["S"],
+            method=merged["method"],
+            l_rep=merged["l_rep"],
+            l_perm=merged["l_perm"],
+            alpha=merged["alpha"],
+            seed=merged["seed"],
+            fit_overrides=_fit_overrides(merged["fit"], where),
+        )
+        for prefix, build in (("fit: ", point.fit_config), ("", point.run_config)):
+            try:
+                build()
+            except ValueError as exc:
+                raise GridFileError(f"{where}: {prefix}{exc}") from None
+        if point.equation not in specs and point.equation not in REGISTRY:
+            raise GridFileError(f"{where}: unknown equation {point.equation!r}")
+        points += [replace(point, replicate=r) for r in range(merged["replicates"])]
     return points, specs
 
 

@@ -302,6 +302,16 @@ class TestGridPoint:
     def test_replicate_seed_stride(self):
         assert REPLICATE_SEED_STRIDE == 100_000
 
+    def test_run_config_follows_the_seed_scheme(self):
+        pt = GridPoint("product2", 40, 5.0, 1, "bart-vip-gse", l_rep=3, seed=7, replicate=2)
+        assert pt.data_seed == 7 + 2 * REPLICATE_SEED_STRIDE
+        config = pt.run_config(jobs=2)
+        assert config == RunConfig(
+            method="bart-vip-gse", l_rep=3, l_perm=50, alpha=0.05, seed=pt.data_seed + 1, jobs=2
+        )
+        with pytest.raises(ValueError, match="unknown method 'nope'"):
+            dataclasses.replace(pt, method="nope").run_config()
+
 
 def fast_point(**kwargs):
     args = dict(

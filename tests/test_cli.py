@@ -379,6 +379,33 @@ GRID_PAYLOAD = {
 
 
 PRODUCT2_POINT = {"equation": "product2", "method": "dart-mpm", "n": 5}
+# point values that used to load, and then failed at run time or ran coerced or truncated
+BAD_POINT_VALUES = [
+    ({"points": [{**PRODUCT2_POINT, "alpha": 2.0}]}, r"alpha must lie in \(0, 1\)"),
+    ({"points": [{**PRODUCT2_POINT, "l_rep": 0}]}, "l_rep must be >= 1"),
+    (
+        {"points": [{**PRODUCT2_POINT, "method": "bart-vip-gmax", "l_perm": 0}]},
+        "method 'bart-vip-gmax' needs l_perm >= 1",
+    ),
+    ({"points": [{**PRODUCT2_POINT, "n": 40.9}]}, "n must be an integer, got 40.9"),
+    ({"points": [{**PRODUCT2_POINT, "n": 0}]}, "n must be >= 1"),
+    ({"points": [{**PRODUCT2_POINT, "S": "2"}]}, "S must be an integer, got '2'"),
+    ({"points": [{**PRODUCT2_POINT, "S": -1}]}, "S must be >= 0"),
+    ({"points": [{**PRODUCT2_POINT, "seed": -1}]}, "seed must be >= 0"),
+    (
+        {"points": [{**PRODUCT2_POINT, "l_rep": True}]},
+        "l_rep must be an integer or null, got True",
+    ),
+    ({"points": [{**PRODUCT2_POINT, "snr": True}]}, "snr must be a positive number"),
+    (
+        {"points": [{**PRODUCT2_POINT, "fit": {"track_s_path": "false"}}]},
+        "fit option 'track_s_path' must be true or false, got 'false'",
+    ),
+    (
+        {"points": [{**PRODUCT2_POINT, "fit": {"beta": True}}]},
+        "fit option 'beta' must be a number, got True",
+    ),
+]
 
 
 class TestGridFile:
@@ -482,6 +509,7 @@ class TestGridFile:
                 {"points": [{"equation": "e", "method": "dart-mpm", "n": 5}]},
                 r"points\[0\]: unknown equation 'e'",
             ),
+            *BAD_POINT_VALUES,
         ],
     )
     def test_bad_grid_rejected(self, tmp_path, payload, match):
@@ -928,6 +956,14 @@ class TestCliBenchmark:
         assert result.exit_code == 2
         assert "unknown method" in result.stderr
 
+    @pytest.mark.parametrize("payload, match", BAD_POINT_VALUES)
+    def test_bad_point_value_is_usage_error_before_any_row(self, runner, tmp_path, payload, match):
+        grid = write_grid(tmp_path / "g.json", payload)
+        result = runner.invoke(main, ["benchmark", str(grid), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert re.search(match, result.stderr)
+        assert not (tmp_path / "o").exists()
+
     def test_runtime_error_rows_do_not_fail_the_run(self, runner, tmp_path):
         # a valid file whose equation is non-finite everywhere fails at data generation
         payload = {
@@ -980,6 +1016,12 @@ class TestCliReport:
         assert result.exit_code == 0
         assert "2 rows, 1 errors" in result.output
         assert "row 1 (dart-mpm): Boom: nope" in result.output
+
+    def test_report_writes_nothing(self, runner, tmp_path):
+        write_metrics_csv(tmp_path / "metrics.csv", [grid_row_to_record(sample_row())])
+        result = runner.invoke(main, ["report", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.csv"]
 
     def test_report_dir_without_metrics(self, runner, tmp_path):
         result = runner.invoke(main, ["report", str(tmp_path)])

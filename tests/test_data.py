@@ -14,6 +14,7 @@ from bartsel import (
     DecisionTree,
     FitConfig,
     PosteriorTrace,
+    RunConfig,
     validate_dataset,
 )
 from oracles import (
@@ -273,7 +274,7 @@ class TestTreeArena:
 
 class TestFitConfig:
     def test_defaults_are_valid(self):
-        FitConfig().validate()
+        FitConfig()
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -290,7 +291,7 @@ class TestFitConfig:
     )
     def test_bad_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            FitConfig(**kwargs).validate()
+            FitConfig(**kwargs)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize(
@@ -300,4 +301,35 @@ class TestFitConfig:
     def test_non_finite_fields_rejected_by_name(self, field, value):
         name = "move probabilities" if field.startswith("p_") else field
         with pytest.raises(ValueError, match=name):
-            FitConfig(**{field: value}).validate()
+            FitConfig(**{field: value})
+
+    def test_replace_checks_again(self):
+        with pytest.raises(ValueError, match="n_trees"):
+            dataclasses.replace(FitConfig(), n_trees=0)
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"method": "nope"}, "unknown method 'nope'; choose one of bart-vip-local"),
+            ({"method": "dart-vc-measure", "l_rep": 0}, "l_rep must be >= 1"),
+            ({"method": "bart-vip-gmax", "l_perm": 0}, "needs l_perm >= 1"),
+            ({"method": "dart-mpm", "alpha": 0.0}, r"alpha must lie in \(0, 1\)"),
+            ({"method": "dart-mpm", "alpha": 1.0}, r"alpha must lie in \(0, 1\)"),
+            ({"method": "dart-mpm", "jobs": 0}, "jobs must be >= 1"),
+        ],
+    )
+    def test_bad_configs_rejected_on_construction(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            RunConfig(**kwargs)
+
+    def test_cluster_method_needs_no_permutations(self):
+        assert RunConfig(method="bart-vc-measure", l_perm=0).l_perm == 0
+
+    def test_replace_checks_again(self):
+        config = RunConfig(method="bart-vip-local")
+        with pytest.raises(ValueError, match="alpha"):
+            dataclasses.replace(config, alpha=2.0)
+        with pytest.raises(ValueError, match="needs l_perm"):
+            dataclasses.replace(config, l_perm=0)
