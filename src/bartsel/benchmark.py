@@ -17,14 +17,15 @@ from __future__ import annotations
 
 import ast
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
 from .data import Dataset, FitConfig, validate_dataset
-from .methods import RunConfig, run_method
+from .methods import RunConfig, prefetch_fits, run_method
 from .sampler import Workers
 
 __all__ = [
@@ -267,8 +268,10 @@ class MetricsRecord:
 def compute_metrics(selected, truth, p: int, runtime_s: float = 0.0) -> MetricsRecord:
     """Confusion counts and tpr/fpr/f1 of 1-based ``selected`` against
     ``truth`` among p features. ``runtime_s`` is recorded as given; grid rows
-    pass ``MethodResult.runtime_s``, which times only the fits the row
-    computed, not those it reused from the grid's cache."""
+    pass ``MethodResult.runtime_s``, the time the row waited for the fits it
+    lacked plus its selection. Fits it reused from the grid's cache are not
+    counted, and with jobs > 1 fits the pool finished while earlier rows ran
+    are not waited for."""
     sel = {int(j) for j in selected}
     tru = {int(j) for j in truth}
     for name, idx in (("selected", sel), ("truth", tru)):
@@ -357,13 +360,29 @@ def _data_key(pt: GridPoint) -> tuple:
     return (pt.equation, pt.n, pt.snr, pt.s_copies, pt.data_seed)
 
 
+def _run_configs(points: Iterable[GridPoint], jobs: int) -> list[RunConfig]:
+    """The runs of the points that build one; a point that cannot reports
+    the error in its own row."""
+    configs = []
+    for pt in points:
+        try:
+            configs.append(pt.run_config(jobs))
+        except (TypeError, ValueError):
+            pass
+    return configs
+
+
 def _run_point(
     index: int,
     pt: GridPoint,
     equations: Mapping[str, Any],
+    data_points: Iterable[GridPoint],
     dataset_cache: dict,
     workers: Workers,
 ) -> GridRowResult:
+    """Run one point. ``data_points`` are the points left to run on its
+    dataset, this one first; the first of them to run generates the dataset
+    and queues every fit they need."""
     config = pt.run_config(workers.jobs)
     if pt.equation not in equations:
         raise BenchmarkError(f"unknown equation {pt.equation!r}")
@@ -372,6 +391,8 @@ def _run_point(
     if dkey not in dataset_cache:
         dataset, info = generate_dataset_with_info(eq, pt.n, pt.snr, pt.s_copies, pt.data_seed)
         dataset_cache[dkey] = (dataset, info, {})
+        configs = _run_configs(data_points, workers.jobs)
+        prefetch_fits(dataset, configs, dataset_cache[dkey][2], workers)
     dataset, info, fit_cache = dataset_cache[dkey]
     result = run_method(dataset, config, cache=fit_cache, workers=workers)
     selected = result.selection.selected
@@ -405,12 +426,21 @@ def run_grid(
     share fits, and each chain is fitted once whatever the row order.
     Points for which ``skip`` returns True are omitted from the output
     (resume support); ``progress`` observes each computed row. Rows return
-    in grid order.
+    in grid order. A dataset and its cache are dropped after its last point,
+    so memory holds the datasets whose points are still to come (and a
+    dataset whose queued fits no row took, after a fit failed, until the
+    pool closes).
 
     With jobs > 1 the whole grid shares one pool of ``jobs`` worker
-    processes, started by the first row that fans out and shut down before
-    this returns. A worker that dies fails only the row in progress (an
-    error row naming ``BrokenProcessPool``); the next row starts a new pool.
+    processes, shut down before this returns. When a dataset's first row
+    starts, every replicate and null fit its points need is queued on the
+    pool (``prefetch_fits``), so the workers never wait between rows; the
+    rows then take their fits from the queue in order. A point whose run
+    cannot be built queues nothing, and its row reports the error. A worker
+    that dies fails only the row whose fit killed it (an error row naming
+    ``BrokenProcessPool``): the queue is dropped with the pool, a row that
+    was waiting on other fits runs its own once more on a new pool, and
+    later rows queue their fits again.
     """
     if not points:
         raise BenchmarkError("grid is empty")
@@ -418,14 +448,22 @@ def run_grid(
     if equations:
         eqs.update(equations)
     todo = [(i, pt) for i, pt in enumerate(points) if skip is None or not skip(i, pt)]
+    # each dataset's points still to run, in grid order
+    left: dict[tuple, deque[GridPoint]] = {}
+    for _, pt in todo:
+        left.setdefault(_data_key(pt), deque()).append(pt)
     dataset_cache: dict = {}
     out: list[GridRowResult] = []
     with Workers(jobs) as workers:
         for index, pt in todo:
+            dkey = _data_key(pt)
             try:
-                row = _run_point(index, pt, eqs, dataset_cache, workers)
+                row = _run_point(index, pt, eqs, left[dkey], dataset_cache, workers)
             except Exception as exc:  # noqa: BLE001 - isolation contract
                 row = GridRowResult(index=index, point=pt, error=f"{type(exc).__name__}: {exc}")
+            left[dkey].popleft()
+            if not left[dkey]:
+                dataset_cache.pop(dkey, None)
             if progress is not None:
                 progress(row)
             out.append(row)

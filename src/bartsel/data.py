@@ -33,9 +33,12 @@ class DataError(ValueError):
     """Raised when an input table fails validation."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """A validated regression dataset.
+
+    Datasets compare and hash by identity, so a pool task that carries one
+    can key a queued fit (:meth:`bartsel.sampler.Workers.prefetch`).
 
     Attributes
     ----------
@@ -396,6 +399,8 @@ class FitConfig:
                 f"move probabilities must be non-negative and sum to <= 1, "
                 f"got p_birth={self.p_birth}, p_death={self.p_death}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -23,14 +23,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
+from . import selection as _selection
 from .data import Dataset, FitConfig, PosteriorTrace
 from .sampler import Workers, fit
 from .selection import (
     PERMUTATION_SEED_OFFSET,
     SelectionResult,
+    _null_tasks,
     cluster_select,
     mpm_select,
     permutation_null,
@@ -60,6 +63,7 @@ __all__ = [
     "resolve_l_rep",
     "fit_replicates",
     "select_with_method",
+    "prefetch_fits",
     "run_method",
 ]
 
@@ -133,6 +137,8 @@ class RunConfig:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def fit_config(self) -> FitConfig:
         """The per-fit configuration: the method's prior, with the MI sum kept."""
@@ -143,11 +149,14 @@ class RunConfig:
 class MethodResult:
     """One selection run's outcome.
 
-    ``runtime_s`` is the wall time of this ``run_method`` call: the fits it
-    computed plus summaries and selection. Fits it took from the cache are
-    not timed, so in a grid a row that reuses another row's chain (every VIP
-    point after a ``bart-mi-local`` point on the same data, say) reads near
-    zero, and the figure depends on the other points and their order.
+    ``runtime_s`` is the wall time of this ``run_method`` call: the time it
+    waited for the fits it lacked, plus summaries and selection. Fits it
+    took from the cache are not timed. In a grid with jobs > 1 every fit of
+    a dataset is queued when its first row starts, so a row waits only for
+    what the pool has not finished yet. The figure therefore depends on the
+    other points and their order: a row that reuses another row's chain
+    (every VIP point after a ``bart-mi-local`` point on the same data, say)
+    reads near zero.
     """
 
     selection: SelectionResult
@@ -168,6 +177,11 @@ def _fit_one(args) -> PosteriorTrace:
     return fit(dataset, cfg)
 
 
+def _replicate_tasks(dataset, fit_config, seed, start, stop) -> list[tuple]:
+    """The ``_fit_one`` tasks of the replicate fits start .. stop - 1."""
+    return [(dataset, replace(fit_config, seed=seed + i)) for i in range(start, stop)]
+
+
 def fit_replicates(
     dataset: Dataset,
     fit_config: FitConfig,
@@ -181,9 +195,8 @@ def fit_replicates(
     ``jobs`` is a worker count, for a pool that lives for this call only, or
     an open :class:`~bartsel.sampler.Workers`, which is used and left open.
     """
-    tasks = [(dataset, replace(fit_config, seed=seed + i)) for i in range(start, l_rep)]
     with Workers.borrow(jobs) as workers:
-        return workers.map(_fit_one, tasks)
+        return workers.map(_fit_one, _replicate_tasks(dataset, fit_config, seed, start, l_rep))
 
 
 def _mean_importance(traces: list[PosteriorTrace], kind: str) -> np.ndarray:
@@ -224,12 +237,49 @@ def _grow(rows: list, count: int, compute) -> list:
     return rows[:count]
 
 
+_NULL_KINDS = (KIND_VIP, KIND_MI)
+_null_fit_tasks = partial(_null_tasks, kinds=_NULL_KINDS)
+
+
 def _null_rows(dataset, fit_cfg, seed, start, stop, pool) -> list[dict]:
     """Null rows start .. stop - 1, each a {kind: row} dict of the VIP and the
     MI row of one fit."""
-    kinds = (KIND_VIP, KIND_MI)
-    nulls = permutation_null(dataset, kinds, stop, fit_cfg, seed, jobs=pool, start=start)
-    return [dict(zip(kinds, rows)) for rows in zip(*nulls)]
+    nulls = permutation_null(dataset, _NULL_KINDS, stop, fit_cfg, seed, jobs=pool, start=start)
+    return [dict(zip(_NULL_KINDS, rows)) for rows in zip(*nulls)]
+
+
+def prefetch_fits(
+    dataset: Dataset, configs: list[RunConfig], cache: dict, workers: Workers
+) -> None:
+    """Queue on ``workers`` every fit that ``run_method`` calls with these
+    ``configs``, ``dataset`` and ``cache`` will ask for, so the pool works
+    through them without waiting between calls.
+
+    For each chain these are the replicate and the null fits that ``cache``
+    lacks, up to the largest ``l_rep`` and ``l_perm`` the configs ask of it,
+    queued in the order the configs need them. The tasks are built as
+    ``fit_replicates`` and ``permutation_null`` build theirs, so each of
+    their maps takes its fits from the queue. Does nothing when jobs is 1 or
+    there is at most one fit to queue, which ``run_method`` runs in-process.
+    """
+    if workers.jobs <= 1:
+        return
+    queued: dict = {}
+    plan: list[tuple] = []
+    for config in configs:
+        fit_cfg = config.fit_config()
+        chain = (fit_cfg, config.seed)
+        wants = [(chain, resolve_l_rep(config.method, config.l_rep), _fit_one, _replicate_tasks)]
+        if METHOD_SPECS[config.method].needs_null:
+            wants.append(((*chain, "null"), config.l_perm, _selection._null_row, _null_fit_tasks))
+        for key, stop, worker, tasks in wants:
+            start = queued.get(key, len(cache.get(key, ())))
+            if start < stop:
+                plan.append((worker, tasks(dataset, fit_cfg, config.seed, start, stop)))
+                queued[key] = stop
+    if sum(len(tasks) for _, tasks in plan) > 1:
+        for worker, tasks in plan:
+            workers.prefetch(worker, tasks)
 
 
 def run_method(
@@ -247,9 +297,11 @@ def run_method(
     Every fit keeps the MI sum, and every null row holds a VIP and an MI row.
 
     The replicate and the null fits share one pool of ``config.jobs``
-    workers, shut down before this returns. ``workers``, an open holder the
-    caller closes (``run_grid`` passes one per grid), runs them instead; its
-    ``jobs`` must equal ``config.jobs`` (ValueError otherwise).
+    workers, shut down before this returns; with jobs > 1 both are queued
+    at once (``prefetch_fits``), so the null fits start while the replicate
+    fits finish. ``workers``, an open holder the caller closes (``run_grid``
+    passes one per grid), runs them instead; its ``jobs`` must equal
+    ``config.jobs`` (ValueError otherwise).
     """
     if workers is not None and workers.jobs != config.jobs:
         raise ValueError(f"workers hold {workers.jobs} jobs but config.jobs is {config.jobs}")
@@ -262,6 +314,7 @@ def run_method(
     null = None
     perm_seeds: list[int] = []
     with Workers.borrow(config.jobs if workers is None else workers) as pool:
+        prefetch_fits(dataset, [config], cache, pool)
         traces = _grow(
             cache.setdefault(chain, []),
             l_rep,

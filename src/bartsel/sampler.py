@@ -34,7 +34,7 @@ import contextlib
 import functools
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
 
@@ -705,21 +705,34 @@ def fit(
 class Workers:
     """A pool of ``jobs`` worker processes, held open across many ``map`` calls.
 
-    Use it as a context manager: the pool starts on the first ``map`` that
+    Use it as a context manager: the pool starts on the first call that
     needs it and is shut down on exit, so one selection run or one grid forks
     its workers once. ``map(worker, tasks)`` is ``[worker(t) for t in tasks]``,
-    run in this process when jobs is 1 or there are fewer than two tasks.
-    ``worker`` must be a module-level function so the pool can pickle it.
-    Workers start by the platform's default method (fork on Linux); a spawned
-    worker would import numpy and bartsel again, about 0.23-0.26 s and 32 MB
-    per worker on a 2-core x86-64 box, more than the pool saves on short
-    fits. If a worker dies, ``map`` raises ``BrokenProcessPool``
-    and drops the pool; the next ``map`` starts a new one.
+    run in this process when jobs is 1 or there is one task that no
+    ``prefetch`` queued. ``worker`` must be a module-level function so the
+    pool can pickle it. Workers start by the platform's default method (fork
+    on Linux); a spawned worker would import numpy and bartsel again, about
+    0.23-0.26 s and 32 MB per worker on a 2-core x86-64 box, more than the
+    pool saves on short fits.
+
+    ``prefetch(worker, tasks)`` submits tasks ahead of the ``map`` that will
+    ask for them, so the pool is not left idle between maps: a ``map`` with
+    the same worker and an equal task takes the queued result instead of
+    running the task again. A queued task no ``map`` asks for is held until
+    the pool closes.
+
+    If a worker dies, the pool is dropped with every queued task, and the
+    next call starts a new one. The ``map`` that sees it raises
+    ``BrokenProcessPool``, unless tasks it did not ask for were still queued
+    and had not succeeded: one of those may have killed the worker, so it
+    runs its own tasks once more on a new pool, and raises only if that pool
+    breaks too.
     """
 
     def __init__(self, jobs: int = 1) -> None:
         self.jobs = jobs
         self._pool: ProcessPoolExecutor | None = None
+        self._queued: dict[tuple, Future] = {}
 
     @staticmethod
     def borrow(jobs: int | Workers):
@@ -734,17 +747,57 @@ class Workers:
         self.close()
 
     def close(self) -> None:
+        """Shut the pool down, cancelling every task that has not started."""
         pool, self._pool = self._pool, None
+        self._queued.clear()
         if pool is not None:
-            pool.shutdown()
+            pool.shutdown(cancel_futures=True)
 
-    def map(self, worker, tasks: list) -> list:
-        if self.jobs <= 1 or len(tasks) < 2:
-            return [worker(t) for t in tasks]
+    def _submit(self, worker, task) -> Future:
         if self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+        return self._pool.submit(worker, task)
+
+    def prefetch(self, worker, tasks: list) -> None:
+        """Queue ``tasks`` (hashable) on the pool now; does nothing when jobs is 1."""
+        if self.jobs <= 1:
+            return
         try:
-            return list(self._pool.map(worker, tasks))
+            for task in tasks:
+                if (worker, task) not in self._queued:
+                    self._queued[worker, task] = self._submit(worker, task)
+        except BrokenProcessPool:
+            self.close()  # a queued task killed a worker; each map runs its own again
+
+    def map(self, worker, tasks: list) -> list:
+        if self.jobs <= 1:
+            return [worker(t) for t in tasks]
+        queued = [self._queued.pop((worker, t), None) for t in tasks]
+        if len(tasks) < 2 and all(f is None for f in queued):
+            return [worker(t) for t in tasks]
+        try:
+            return self._collect(worker, tasks, queued)
+        except BrokenProcessPool:
+            retry = not all(_succeeded(f) for f in self._queued.values())
+            self.close()
+            if not retry:
+                raise
+        try:
+            return self._collect(worker, tasks, [None] * len(tasks))
         except BrokenProcessPool:
             self.close()
             raise
+
+    def _collect(self, worker, tasks: list, queued: list) -> list:
+        futures = []
+        try:
+            for f, task in zip(queued, tasks):
+                futures.append(self._submit(worker, task) if f is None else f)
+            return [f.result() for f in futures]
+        finally:
+            for f in futures:
+                f.cancel()
+
+
+def _succeeded(future: Future) -> bool:
+    return future.done() and not future.cancelled() and future.exception() is None

@@ -221,6 +221,14 @@ def _null_row(args) -> list[np.ndarray]:
         raise FitError(f"permutation {index} (seed {perm_seed}) failed: {exc}") from exc
 
 
+def _null_tasks(dataset, config, seed, start, stop, kinds) -> list[tuple]:
+    """The ``_null_row`` tasks of the permutations ell = start + 1 .. stop."""
+    return [
+        (dataset, config, seed + PERMUTATION_SEED_OFFSET + ell, kinds, ell)
+        for ell in range(start + 1, stop + 1)
+    ]
+
+
 def permutation_null(
     dataset: Dataset,
     importance_kind: str | tuple[str, ...],
@@ -250,12 +258,8 @@ def permutation_null(
         raise ValueError("l_perm must be >= 1")
     if not 0 <= start < l_perm:
         raise ValueError(f"start must lie in [0, l_perm), got {start}")
-    tasks = [
-        (dataset, config, seed + PERMUTATION_SEED_OFFSET + ell, kinds, ell)
-        for ell in range(start + 1, l_perm + 1)
-    ]
     with Workers.borrow(jobs) as workers:
-        rows = workers.map(_null_row, tasks)
+        rows = workers.map(_null_row, _null_tasks(dataset, config, seed, start, l_perm, kinds))
     nulls = tuple(np.stack(column) for column in zip(*rows))
     return nulls[0] if isinstance(importance_kind, str) else nulls
 

@@ -2,12 +2,14 @@
 selection metrics, and the grid runner."""
 
 import dataclasses
+import gc
 import os
+import weakref
 
 import numpy as np
 import pytest
 
-from bartsel import methods, sampler
+from bartsel import benchmark, methods, sampler
 from bartsel.benchmark import (
     BenchmarkError,
     EquationSpec,
@@ -331,12 +333,23 @@ def fast_point(**kwargs):
 DOOMED_SEEDS = frozenset({51, 52})
 _real_fit_one = methods._fit_one
 
+# grid-r2's methods and l_perm values (perfbench/workloads.py), at l_rep=2
+GRID_R2_METHODS = (
+    ("bart-mi-local", 3),
+    ("bart-vip-local", 3),
+    ("bart-vip-gmax", 3),
+    ("bart-vip-gse", 6),
+    ("dart-vc-measure", 3),
+    ("dart-mpm", 3),
+)
+
 
 def _fit_or_die(task):
     """``methods._fit_one``, except that the worker process exits on the
-    doomed row's seeds. Module level, so the pool can pickle it."""
+    doomed row's seeds and on every DART replicate fit. Module level, so the
+    pool can pickle it."""
     dataset, cfg = task
-    if cfg.seed in DOOMED_SEEDS:
+    if cfg.seed in DOOMED_SEEDS or cfg.prior_kind == "dart":
         os._exit(1)
     return _real_fit_one(task)
 
@@ -345,15 +358,21 @@ def without_runtime(row):
     return dataclasses.replace(row, metrics=dataclasses.replace(row.metrics, runtime_s=0.0))
 
 
-def count_pools(monkeypatch) -> list:
+def count_pools(monkeypatch, submitted: list | None = None) -> list:
     """Replace the pool class the sampler builds with one that counts
-    constructions; returns the list the count is appended to."""
+    constructions; returns the list the count is appended to. Each
+    submitted ``(worker name, task)`` is appended to ``submitted``."""
     built = []
 
     class CountingPool(sampler.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             built.append(1)
             super().__init__(*args, **kwargs)
+
+        def submit(self, fn, /, *args, **kwargs):
+            if submitted is not None:
+                submitted.append((fn.__name__, *args))
+            return super().submit(fn, *args, **kwargs)
 
     monkeypatch.setattr(sampler, "ProcessPoolExecutor", CountingPool)
     return built
@@ -472,6 +491,9 @@ class TestRunGrid:
         built.clear()
         run_method(dataset, config)
         assert len(built) == 1
+        built.clear()
+        run_method(dataset, dataclasses.replace(config, method="dart-mpm", l_rep=1))
+        assert built == []  # a lone fit runs in this process
         with Workers(1) as workers, pytest.raises(ValueError, match="config.jobs"):
             run_method(dataset, config, workers=workers)
 
@@ -490,6 +512,56 @@ class TestRunGrid:
         for i in (0, 2):
             assert rows[i].error is None
             assert without_runtime(rows[i]) == without_runtime(serial[i])
+
+    def test_dead_worker_on_a_shared_dataset_fails_only_its_row(self, monkeypatch):
+        # every fit of the dataset is queued when row 0 starts, the DART ones too
+        pts = [
+            fast_point(method="bart-vip-local", l_rep=2, l_perm=3),
+            fast_point(method="dart-vc-measure", l_rep=2),
+            fast_point(method="bart-vip-gse", l_rep=2, l_perm=5),
+        ]
+        serial = run_grid(pts, jobs=1)
+        monkeypatch.setattr(methods, "_fit_one", _fit_or_die)
+        rows = run_grid(pts, jobs=2)
+        assert rows[1].error.startswith("BrokenProcessPool") and rows[1].metrics is None
+        for i in (0, 2):
+            assert rows[i].error is None
+            assert without_runtime(rows[i]) == without_runtime(serial[i])
+
+    def test_grid_queues_each_fit_once_before_the_first_row_ends(self, monkeypatch):
+        pts = [fast_point(method=m, l_rep=2, l_perm=l_perm) for m, l_perm in GRID_R2_METHODS]
+        serial = run_grid(pts, jobs=1)
+        submitted: list = []
+        built = count_pools(monkeypatch, submitted)
+        queued_at_row = []
+        parallel = run_grid(pts, jobs=2, progress=lambda row: queued_at_row.append(len(submitted)))
+        # 2 BART and 2 DART replicate fits and 6 null fits, each submitted once
+        assert len(built) == 1 and len(submitted) == 10 and len(set(submitted)) == 10
+        assert queued_at_row == [10] * len(pts)
+        assert all(row.error is None for row in parallel)
+        assert [without_runtime(r) for r in parallel] == [without_runtime(r) for r in serial]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_dataset_is_dropped_after_its_last_point(self, monkeypatch, jobs):
+        made = []
+
+        def generate(*args):
+            dataset, info = generate_dataset_with_info(*args)
+            made.append(weakref.ref(dataset))
+            return dataset, info
+
+        alive = []
+
+        def progress(row):
+            gc.collect()
+            alive.append([ref() is not None for ref in made])
+
+        monkeypatch.setattr(benchmark, "generate_dataset_with_info", generate)
+        first = [fast_point(method="bart-vip-local", l_rep=2, l_perm=3), fast_point(l_rep=2)]
+        second = [dataclasses.replace(pt, seed=4) for pt in first]
+        rows = run_grid(first + second, jobs=jobs, progress=progress)
+        assert all(row.error is None for row in rows)
+        assert alive == [[True], [False], [False, True], [False, False]]
 
 
 def count_fits(monkeypatch) -> dict:

@@ -706,6 +706,12 @@ class TestCliFit:
         )
         assert result.exit_code == 2
 
+    def test_negative_seed_is_usage_error(self, runner, signal_csv, tmp_path):
+        out = tmp_path / "t"
+        result = runner.invoke(main, ["fit", str(signal_csv), "--seed", "-1", "--out", str(out)])
+        assert result.exit_code == 2
+        assert "seed must be >= 0" in result.stderr and not out.exists()
+
     def test_fit_keeps_mi_sum(self, runner, signal_csv, tmp_path):
         out = tmp_path / "fit.trace"
         result = runner.invoke(main, ["fit", str(signal_csv), *FAST_FLAGS, "--out", str(out)])
@@ -843,6 +849,15 @@ class TestCliSelect:
         )
         assert result.exit_code == 2
         assert "alpha" in result.stderr
+
+    def test_negative_seed_is_usage_error(self, runner, signal_csv, tmp_path):
+        out = tmp_path / "sel"
+        result = runner.invoke(
+            main,
+            ["select", str(signal_csv), "--method", "dart-mpm", "--seed", "-1", "--out", str(out)],
+        )
+        assert result.exit_code == 2
+        assert "seed must be >= 0" in result.stderr and not out.exists()
 
 
 # -- CLI: benchmark and report ------------------------------------------------------

@@ -293,6 +293,10 @@ class TestFitConfig:
         with pytest.raises(ValueError):
             FitConfig(**kwargs)
 
+    def test_negative_seed_rejected_by_name(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            FitConfig(seed=-1)
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize(
         "field",
@@ -318,6 +322,7 @@ class TestRunConfig:
             ({"method": "dart-mpm", "alpha": 0.0}, r"alpha must lie in \(0, 1\)"),
             ({"method": "dart-mpm", "alpha": 1.0}, r"alpha must lie in \(0, 1\)"),
             ({"method": "dart-mpm", "jobs": 0}, "jobs must be >= 1"),
+            ({"method": "dart-mpm", "seed": -1}, "seed must be >= 0, got -1"),
         ],
     )
     def test_bad_configs_rejected_on_construction(self, kwargs, match):

@@ -5,7 +5,8 @@ write ``metrics.csv`` equal to ``data/golden/metrics.csv`` once its
 ``runtime_s`` column is blanked, and ``bartsel select`` on
 ``data/golden/data.csv`` must write ``importance.csv`` equal to
 ``data/golden/importance-<method>.csv`` for the methods in
-``SELECT_METHODS``. A refactor keeps these bytes; a change that is meant to
+``SELECT_METHODS``. Both commands must write the same bytes at ``--jobs 1``
+and ``--jobs 2``. A refactor keeps these bytes; a change that is meant to
 alter them rewrites the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -49,16 +50,17 @@ def _blank_runtime(text: str) -> str:
     return out.getvalue()
 
 
-def produce(out: Path) -> dict[str, bytes]:
-    """Run the golden commands under ``out``; map golden file name to bytes."""
-    _invoke(["benchmark", str(GOLDEN / "grid.json"), "--out", str(out / "bench"), "--jobs", "1"])
+def produce(out: Path, jobs: str = "1") -> dict[str, bytes]:
+    """Run the golden commands under ``out`` with ``jobs`` workers; map
+    golden file name to bytes."""
+    _invoke(["benchmark", str(GOLDEN / "grid.json"), "--out", str(out / "bench"), "--jobs", jobs])
     metrics = (out / "bench" / "metrics.csv").read_text(encoding="utf-8")
     files = {"metrics.csv": _blank_runtime(metrics).encode("utf-8")}
     for method in SELECT_METHODS:
         sel = out / method
         _invoke([
             "select", str(GOLDEN / "data.csv"), "--method", method, *SELECT_FLAGS,
-            "--jobs", "1", "--out", str(sel),
+            "--jobs", jobs, "--out", str(sel),
         ])
         files[f"importance-{method}.csv"] = (sel / "importance.csv").read_bytes()
     return files
@@ -69,11 +71,22 @@ def produced(tmp_path_factory):
     return produce(tmp_path_factory.mktemp("golden"))
 
 
-@pytest.mark.parametrize(
-    "name", ["metrics.csv", *(f"importance-{m}.csv" for m in SELECT_METHODS)]
-)
+@pytest.fixture(scope="module")
+def produced_at_two_jobs(tmp_path_factory):
+    return produce(tmp_path_factory.mktemp("golden-jobs2"), jobs="2")
+
+
+NAMES = ["metrics.csv", *(f"importance-{m}.csv" for m in SELECT_METHODS)]
+
+
+@pytest.mark.parametrize("name", NAMES)
 def test_output_matches_golden_bytes(produced, name):
     assert produced[name] == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_output_at_two_jobs_matches_golden_bytes(produced_at_two_jobs, name):
+    assert produced_at_two_jobs[name] == (GOLDEN / name).read_bytes()
 
 
 if __name__ == "__main__":

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import time
 import warnings
 
 import numpy as np
@@ -31,7 +33,7 @@ from bartsel import (
     validate_dataset,
     vip,
 )
-from bartsel.sampler import FitError, _alpha_grid, _birth_log_ratio, _lgam, _pick
+from bartsel.sampler import FitError, Workers, _alpha_grid, _birth_log_ratio, _lgam, _pick
 from oracles import (
     LeafSufficientStats,
     MaskScanSampler,
@@ -692,3 +694,33 @@ class TestNumpyStream:
             ours.integers(0, 7, dtype=np.int32)
             ref.integers(0, 7, dtype=np.int32)
             assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def _pid_of(task) -> int:
+    """The process a pool task runs in. Module level, so the pool can pickle it."""
+    return os.getpid()
+
+
+class TestWorkers:
+    def test_single_prefetched_task_is_taken_from_its_future(self):
+        with Workers(2) as workers:
+            workers.prefetch(_pid_of, ["a"])
+            assert workers.map(_pid_of, ["a"]) != [os.getpid()]
+            assert workers._queued == {}
+            assert workers.map(_pid_of, ["a"]) == [os.getpid()]  # not queued: runs here
+
+    def test_prefetch_does_nothing_at_one_job(self):
+        with Workers(1) as workers:
+            workers.prefetch(_pid_of, ["a", "b"])
+            assert workers._pool is None and workers._queued == {}
+            assert workers.map(_pid_of, ["a", "b"]) == [os.getpid()] * 2
+
+    def test_close_cancels_queued_tasks(self):
+        workers = Workers(2)
+        workers.prefetch(time.sleep, [0.1 + 0.001 * i for i in range(12)])
+        futures = list(workers._queued.values())
+        workers.close()
+        # the running sleeps and the few already in the pool's call queue
+        # finish; the rest never start
+        assert all(f.done() for f in futures) and any(f.cancelled() for f in futures)
+        assert workers._pool is None and workers._queued == {}
