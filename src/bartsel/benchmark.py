@@ -426,10 +426,9 @@ def run_grid(
     share fits, and each chain is fitted once whatever the row order.
     Points for which ``skip`` returns True are omitted from the output
     (resume support); ``progress`` observes each computed row. Rows return
-    in grid order. A dataset and its cache are dropped after its last point,
-    so memory holds the datasets whose points are still to come (and a
-    dataset whose queued fits no row took, after a fit failed, until the
-    pool closes).
+    in grid order. A dataset, its cache and its queued fits that no row took
+    (after a fit failed) are dropped after its last point, so memory holds
+    the datasets whose points are still to come.
 
     With jobs > 1 the whole grid shares one pool of ``jobs`` worker
     processes, shut down before this returns. When a dataset's first row
@@ -438,9 +437,9 @@ def run_grid(
     rows then take their fits from the queue in order. A point whose run
     cannot be built queues nothing, and its row reports the error. A worker
     that dies fails only the row whose fit killed it (an error row naming
-    ``BrokenProcessPool``): the queue is dropped with the pool, a row that
-    was waiting on other fits runs its own once more on a new pool, and
-    later rows queue their fits again.
+    ``BrokenProcessPool``): the queue is dropped with the pool, the row that
+    saw it runs its own fits once more on a new pool, and later rows queue
+    their fits again.
     """
     if not points:
         raise BenchmarkError("grid is empty")
@@ -462,8 +461,8 @@ def run_grid(
             except Exception as exc:  # noqa: BLE001 - isolation contract
                 row = GridRowResult(index=index, point=pt, error=f"{type(exc).__name__}: {exc}")
             left[dkey].popleft()
-            if not left[dkey]:
-                dataset_cache.pop(dkey, None)
+            if not left[dkey] and dkey in dataset_cache:
+                workers.discard(dataset_cache.pop(dkey)[0])
             if progress is not None:
                 progress(row)
             out.append(row)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from collections import Counter
 from pathlib import Path
 
 import click
@@ -209,17 +208,11 @@ def cmd_benchmark(grid_file, out, jobs, resume) -> None:
         except _RUNTIME_ERRORS as exc:
             _runtime_fail(exc)
         completed = {record_key(rec): rec for rec in earlier if not rec["error"]}
-        keys = [record_key(grid_row_to_record(GridRowResult(i, pt))) for i, pt in enumerate(points)]
-        # the key leaves out fit, so points that share one are recomputed
-        counts = Counter(keys)
-        for index, key in enumerate(keys):
-            if key in completed and counts[key] == 1:
+        for index, pt in enumerate(points):
+            key = record_key(grid_row_to_record(GridRowResult(index, pt)))
+            if key in completed:
                 prefilled[index] = {**completed[key], "index": str(index)}
-        shared = sum(n for n in counts.values() if n > 1)
-        click.echo(
-            f"resume: keeping {len(prefilled)} of {len(points)} rows; "
-            f"recomputing {shared} whose key another point shares"
-        )
+        click.echo(f"resume: keeping {len(prefilled)} of {len(points)} rows")
 
     def progress(row: GridRowResult) -> None:
         pt = row.point

@@ -719,14 +719,12 @@ class Workers:
     ask for them, so the pool is not left idle between maps: a ``map`` with
     the same worker and an equal task takes the queued result instead of
     running the task again. A queued task no ``map`` asks for is held until
-    the pool closes.
+    ``discard`` drops it or the pool closes.
 
-    If a worker dies, the pool is dropped with every queued task, and the
-    next call starts a new one. The ``map`` that sees it raises
-    ``BrokenProcessPool``, unless tasks it did not ask for were still queued
-    and had not succeeded: one of those may have killed the worker, so it
-    runs its own tasks once more on a new pool, and raises only if that pool
-    breaks too.
+    If a worker dies, the pool is dropped with every queued task. The ``map``
+    that sees it runs its own tasks once more on a new pool, since any
+    queued task may have killed the worker, and raises ``BrokenProcessPool``
+    if that pool breaks too.
     """
 
     def __init__(self, jobs: int = 1) -> None:
@@ -769,6 +767,11 @@ class Workers:
         except BrokenProcessPool:
             self.close()  # a queued task killed a worker; each map runs its own again
 
+    def discard(self, item) -> None:
+        """Cancel and drop the queued tasks, tuples, that hold ``item``."""
+        for key in [key for key in self._queued if any(x is item for x in key[1])]:
+            self._queued.pop(key).cancel()
+
     def map(self, worker, tasks: list) -> list:
         if self.jobs <= 1:
             return [worker(t) for t in tasks]
@@ -778,10 +781,7 @@ class Workers:
         try:
             return self._collect(worker, tasks, queued)
         except BrokenProcessPool:
-            retry = not all(_succeeded(f) for f in self._queued.values())
             self.close()
-            if not retry:
-                raise
         try:
             return self._collect(worker, tasks, [None] * len(tasks))
         except BrokenProcessPool:
@@ -797,7 +797,3 @@ class Workers:
         finally:
             for f in futures:
                 f.cancel()
-
-
-def _succeeded(future: Future) -> bool:
-    return future.done() and not future.cancelled() and future.exception() is None

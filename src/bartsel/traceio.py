@@ -572,6 +572,7 @@ METRICS_COLUMNS = [
     "noise_var",
     "error",
     "runtime_s",
+    "fit",
 ]
 
 KEY_COLUMNS = (
@@ -585,6 +586,7 @@ KEY_COLUMNS = (
     "alpha",
     "seed",
     "replicate",
+    "fit",
 )
 
 
@@ -623,6 +625,7 @@ def grid_row_to_record(row: GridRowResult) -> dict[str, str]:
         "noise_var": "" if row.noise_var is None else repr(row.noise_var),
         "error": row.error or "",
         "runtime_s": "" if m is None else repr(m.runtime_s),
+        "fit": json.dumps(dict(pt.fit_overrides), sort_keys=True, separators=(",", ":")),
     }
     return rec
 
@@ -645,7 +648,9 @@ def read_metrics_csv(path) -> list[dict[str, str]]:
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != METRICS_COLUMNS:
-            raise TraceFormatError(f"{path}: unexpected metrics CSV columns")
+            missing = [c for c in METRICS_COLUMNS if c not in (reader.fieldnames or ())]
+            lacks = f" (missing {', '.join(missing)})" if missing else ""
+            raise TraceFormatError(f"{path}: unexpected metrics CSV columns{lacks}")
         return [dict(row) for row in reader]
 
 

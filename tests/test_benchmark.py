@@ -4,7 +4,10 @@ selection metrics, and the grid runner."""
 import dataclasses
 import gc
 import os
+import signal
+import time
 import weakref
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -25,7 +28,7 @@ from bartsel.benchmark import (
 )
 from bartsel.data import FitConfig
 from bartsel.methods import RunConfig, run_method
-from bartsel.sampler import Workers
+from bartsel.sampler import FitError, Workers
 
 
 def eq(expression, ranges, id="test-eq"):
@@ -329,7 +332,7 @@ def fast_point(**kwargs):
     return GridPoint(**args)
 
 
-# fit seeds of the grid row that _fit_or_die kills its worker on
+# fit seeds of the grid row whose fits _fit_or_die and its variants fail
 DOOMED_SEEDS = frozenset({51, 52})
 _real_fit_one = methods._fit_one
 
@@ -352,6 +355,32 @@ def _fit_or_die(task):
     if cfg.seed in DOOMED_SEEDS or cfg.prior_kind == "dart":
         os._exit(1)
     return _real_fit_one(task)
+
+
+def _fit_or_be_killed(task):
+    """``methods._fit_one``, except that the worker process is killed by
+    SIGKILL, as the out-of-memory killer would kill it, on the doomed row's
+    seeds."""
+    dataset, cfg = task
+    if cfg.seed in DOOMED_SEEDS:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _real_fit_one(task)
+
+
+def _fit_or_raise(task):
+    """``methods._fit_one``, except that the first doomed seed raises
+    FitError after a pause long enough for the fits queued behind it on the
+    other worker to finish."""
+    dataset, cfg = task
+    if cfg.seed == min(DOOMED_SEEDS):
+        time.sleep(0.5)
+        raise FitError("doomed seed")
+    return _real_fit_one(task)
+
+
+def _die(task):
+    """A pool task that ends its worker process at once."""
+    os._exit(1)
 
 
 def without_runtime(row):
@@ -506,12 +535,19 @@ class TestRunGrid:
         serial = run_grid(pts, jobs=1)
         # forked workers inherit the patch; the parent never calls the worker
         # itself here, because every fan-out has at least two tasks
-        monkeypatch.setattr(methods, "_fit_one", _fit_or_die)
-        rows = run_grid(pts, jobs=2)
-        assert rows[1].error.startswith("BrokenProcessPool") and rows[1].metrics is None
-        for i in (0, 2):
-            assert rows[i].error is None
-            assert without_runtime(rows[i]) == without_runtime(serial[i])
+        for fit_one in (_fit_or_die, _fit_or_be_killed):
+            monkeypatch.setattr(methods, "_fit_one", fit_one)
+            rows = run_grid(pts, jobs=2)
+            assert rows[1].error.startswith("BrokenProcessPool") and rows[1].metrics is None
+            for i in (0, 2):
+                assert rows[i].error is None
+                assert without_runtime(rows[i]) == without_runtime(serial[i])
+
+    def test_broken_pool_is_retried_once_on_a_new_pool(self, monkeypatch):
+        built = count_pools(monkeypatch)
+        with Workers(2) as workers, pytest.raises(BrokenProcessPool):
+            workers.map(_die, [1, 2])  # nothing else queued
+        assert len(built) == 2
 
     def test_dead_worker_on_a_shared_dataset_fails_only_its_row(self, monkeypatch):
         # every fit of the dataset is queued when row 0 starts, the DART ones too
@@ -557,11 +593,21 @@ class TestRunGrid:
             alive.append([ref() is not None for ref in made])
 
         monkeypatch.setattr(benchmark, "generate_dataset_with_info", generate)
+        monkeypatch.setattr(methods, "_fit_one", _fit_or_raise)
         first = [fast_point(method="bart-vip-local", l_rep=2, l_perm=3), fast_point(l_rep=2)]
+        # its first replicate fit raises, so its queued null fits are never taken
+        failing = [fast_point(method="bart-vip-local", l_rep=2, l_perm=3, seed=50)]
         second = [dataclasses.replace(pt, seed=4) for pt in first]
-        rows = run_grid(first + second, jobs=jobs, progress=progress)
-        assert all(row.error is None for row in rows)
-        assert alive == [[True], [False], [False, True], [False, False]]
+        rows = run_grid(first + failing + second, jobs=jobs, progress=progress)
+        assert rows[2].error.startswith("FitError") and rows[2].metrics is None
+        assert all(row.error is None for i, row in enumerate(rows) if i != 2)
+        assert alive == [
+            [True],
+            [False],
+            [False, False],
+            [False, False, True],
+            [False, False, False],
+        ]
 
 
 def count_fits(monkeypatch) -> dict:

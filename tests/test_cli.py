@@ -1,6 +1,7 @@
 """Tests for file formats (trace binary, CSVs, grid files, results JSON)
 and the command-line interface built on them."""
 
+import csv
 import dataclasses
 import importlib
 import json
@@ -632,6 +633,36 @@ class TestMetricsCsv:
         rec = grid_row_to_record(sample_row())
         assert record_key(rec) == tuple(rec[c] for c in KEY_COLUMNS)
 
+    def test_fit_column_is_canonical_json(self):
+        pt = dataclasses.replace(
+            sample_row().point, fit_overrides=(("n_trees", 4), ("burn_in", 20))
+        )
+        assert grid_row_to_record(GridRowResult(0, pt))["fit"] == '{"burn_in":20,"n_trees":4}'
+        assert grid_row_to_record(sample_row())["fit"] == "{}"
+
+    def test_key_tells_apart_points_that_differ_in_any_field(self):
+        base = sample_row().point
+        changed = {
+            "equation": "friedman1",
+            "n": 41,
+            "snr": None,
+            "s_copies": 2,
+            "method": "bart-vc-measure",
+            "l_rep": 3,
+            "l_perm": 7,
+            "alpha": 0.1,
+            "seed": 4,
+            "replicate": 1,
+            "fit_overrides": (("n_trees", 4),),
+        }
+        assert set(changed) == {f.name for f in dataclasses.fields(GridPoint)}
+
+        def key(pt):
+            return record_key(grid_row_to_record(GridRowResult(0, pt)))
+
+        for name, value in changed.items():
+            assert key(dataclasses.replace(base, **{name: value})) != key(base), name
+
     def test_aggregate_means_and_error_exclusion(self):
         rows = [grid_row_to_record(sample_row(i, replicate=i)) for i in range(2)]
         rows[1]["tpr"], rows[1]["fpr"], rows[1]["f1"] = "0.5", "0.03", "0.6"
@@ -875,6 +906,28 @@ BENCH_PAYLOAD = {
 }
 
 
+def _fit_only_point(trees):
+    fit = {"trees": trees, "burnin": 20, "draws": 20}
+    return {"equation": "product2", "method": "bart-vc-measure", "l_rep": 2, "fit": fit}
+
+
+# three points that differ only in fit
+FIT_GRID = {
+    "defaults": {"n": 40, "snr": 1.0, "S": 1, "seed": 3},
+    "points": [_fit_only_point(trees) for trees in (2, 4, 8)],
+}
+
+
+def run_benchmark(runner, tmp_path, name, payload):
+    """Write ``payload`` to a grid file and run it into ``tmp_path / name``;
+    returns the grid file and the output directory."""
+    grid = write_grid(tmp_path / f"{name}.json", payload)
+    out = tmp_path / name
+    result = runner.invoke(main, ["benchmark", str(grid), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    return grid, out
+
+
 @pytest.fixture(scope="module")
 def bench_out(tmp_path_factory):
     """One completed benchmark run shared by the benchmark/report tests."""
@@ -926,32 +979,63 @@ class TestCliBenchmark:
                 if col != "runtime_s":
                     assert fresh[col] == kept[col]
 
-    def test_resume_recomputes_points_that_share_a_key(self, runner, tmp_path):
-        # two points that differ only in fit share a metrics.csv key
-        point = {"equation": "product2", "method": "bart-vc-measure", "l_rep": 2}
-        payload = {
-            "defaults": {"n": 40, "snr": 1.0, "S": 1, "seed": 3},
-            "points": [
-                {**point, "fit": {"trees": 2, "burnin": 20, "draws": 20}},
-                {**point, "fit": {"trees": 8, "burnin": 20, "draws": 20}},
-                {**point, "l_rep": 3, "fit": {"trees": 2, "burnin": 20, "draws": 20}},
-            ],
-        }
-        grid = write_grid(tmp_path / "g.json", payload)
-        out = tmp_path / "o"
-        assert runner.invoke(main, ["benchmark", str(grid), "--out", str(out)]).exit_code == 0
-        full = read_metrics_csv(out / "metrics.csv")
-        assert full[0]["selected"] != full[1]["selected"]  # so a copied row shows
+    def test_resume_keeps_points_that_differ_only_in_fit(self, runner, tmp_path):
+        grid, out = run_benchmark(runner, tmp_path, "o", FIT_GRID)
+        before = (out / "metrics.csv").read_bytes()
         result = runner.invoke(main, ["benchmark", str(grid), "--out", str(out), "--resume"])
         assert result.exit_code == 0, result.output
-        assert "resume: keeping 1 of 3 rows; recomputing 2 whose key" in result.output
-        assert "[1/3]" in result.output and "[2/3]" in result.output
-        assert "[3/3]" not in result.output
+        assert "resume: keeping 3 of 3 rows\n" in result.output
+        assert "/3]" not in result.output  # no row ran
+        assert (out / "metrics.csv").read_bytes() == before
+
+    def test_resume_reruns_exactly_the_point_whose_fit_was_edited(self, runner, tmp_path):
+        grid, out = run_benchmark(runner, tmp_path, "o", FIT_GRID)
+        full = read_metrics_csv(out / "metrics.csv")
+        edited = json.loads(json.dumps(FIT_GRID))
+        edited["points"][1]["fit"]["trees"] = 6
+        write_grid(grid, edited)
+        result = runner.invoke(main, ["benchmark", str(grid), "--out", str(out), "--resume"])
+        assert result.exit_code == 0, result.output
+        assert "resume: keeping 2 of 3 rows" in result.output
+        assert "[2/3]" in result.output
+        assert "[1/3]" not in result.output and "[3/3]" not in result.output
         resumed = read_metrics_csv(out / "metrics.csv")
-        for fresh, kept in zip(full, resumed, strict=True):
-            for col in METRICS_COLUMNS:
-                if col != "runtime_s":
-                    assert fresh[col] == kept[col], col
+        _, fresh_out = run_benchmark(runner, tmp_path, "fresh", edited)
+        fresh = read_metrics_csv(fresh_out / "metrics.csv")
+        assert [resumed[0], resumed[2]] == [full[0], full[2]]
+        assert resumed[1]["fit"] == '{"burn_in":20,"n_draws":20,"n_trees":6}'
+        assert {**resumed[1], "runtime_s": ""} == {**fresh[1], "runtime_s": ""}
+
+    def test_resume_keeps_identical_points(self, runner, tmp_path):
+        payload = {**FIT_GRID, "points": [FIT_GRID["points"][0]] * 2}
+        grid, out = run_benchmark(runner, tmp_path, "o", payload)
+        full = read_metrics_csv(out / "metrics.csv")
+        blank = dict.fromkeys(("index", "runtime_s"), "")
+        assert {**full[0], **blank} == {**full[1], **blank}
+        result = runner.invoke(main, ["benchmark", str(grid), "--out", str(out), "--resume"])
+        assert result.exit_code == 0, result.output
+        assert "resume: keeping 2 of 2 rows" in result.output
+        assert "/2]" not in result.output
+        resumed = read_metrics_csv(out / "metrics.csv")
+        assert [rec["index"] for rec in resumed] == ["0", "1"]
+        for kept in resumed:
+            assert {**kept, **blank} == {**full[0], **blank}
+
+    def test_metrics_csv_without_fit_column_is_runtime_error(self, bench_out, runner, tmp_path):
+        grid, full_out, _ = bench_out
+        out = tmp_path / "o"
+        out.mkdir()
+        with (full_out / "metrics.csv").open(newline="", encoding="utf-8") as fh:
+            rows = [row[:-1] for row in csv.reader(fh)]  # fit is the last column
+        assert rows[0][-1] == "runtime_s"
+        with (out / "metrics.csv").open("w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        for args in (["benchmark", str(grid), "--out", str(out), "--resume"], ["report", str(out)]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 1, args
+            assert isinstance(result.exception, SystemExit)  # no traceback
+            assert "(missing fit)" in result.stderr
+            assert "Traceback" not in result.output
 
     def test_resume_from_a_malformed_metrics_csv_is_runtime_error(self, bench_out, runner, tmp_path):
         grid, _, _ = bench_out
