@@ -269,9 +269,9 @@ def compute_metrics(selected, truth, p: int, runtime_s: float = 0.0) -> MetricsR
     """Confusion counts and tpr/fpr/f1 of 1-based ``selected`` against
     ``truth`` among p features. ``runtime_s`` is recorded as given; grid rows
     pass ``MethodResult.runtime_s``, the time the row waited for the fits it
-    lacked plus its selection. Fits it reused from the grid's cache are not
-    counted, and with jobs > 1 fits the pool finished while earlier rows ran
-    are not waited for."""
+    lacked plus its selection. Fits the grid's ``Workers`` holder kept are
+    not counted, and with jobs > 1 fits the pool finished while earlier rows
+    ran are not waited for."""
     sel = {int(j) for j in selected}
     tru = {int(j) for j in truth}
     for name, idx in (("selected", sel), ("truth", tru)):
@@ -356,7 +356,7 @@ class GridRowResult:
 
 
 def _data_key(pt: GridPoint) -> tuple:
-    """A grid point's dataset key; points sharing it share its ``run_method`` cache."""
+    """A grid point's dataset key; points sharing it share its dataset and fits."""
     return (pt.equation, pt.n, pt.snr, pt.s_copies, pt.data_seed)
 
 
@@ -390,11 +390,10 @@ def _run_point(
     dkey = _data_key(pt)
     if dkey not in dataset_cache:
         dataset, info = generate_dataset_with_info(eq, pt.n, pt.snr, pt.s_copies, pt.data_seed)
-        dataset_cache[dkey] = (dataset, info, {})
-        configs = _run_configs(data_points, workers.jobs)
-        prefetch_fits(dataset, configs, dataset_cache[dkey][2], workers)
-    dataset, info, fit_cache = dataset_cache[dkey]
-    result = run_method(dataset, config, cache=fit_cache, workers=workers)
+        dataset_cache[dkey] = (dataset, info)
+        prefetch_fits(dataset, _run_configs(data_points, workers.jobs), workers)
+    dataset, info = dataset_cache[dkey]
+    result = run_method(dataset, config, workers=workers)
     selected = result.selection.selected
     metrics = compute_metrics(selected, dataset.truth, dataset.p, runtime_s=result.runtime_s)
     return GridRowResult(
@@ -418,28 +417,30 @@ def run_grid(
 ) -> list[GridRowResult]:
     """Run every grid point, isolating per-point failures as error rows.
 
-    Each generated dataset keeps one ``run_method`` cache, so points on it
-    reuse replicate fits and permutation-null rows across L_rep and L_perm
-    values and across methods sharing a chain (a BART or DART fit
-    configuration and seed), and grow them by the missing rows only; seeding
-    makes the reuse exact. Every fit keeps the MI sum, so MI and VIP points
-    share fits, and each chain is fitted once whatever the row order.
-    Points for which ``skip`` returns True are omitted from the output
-    (resume support); ``progress`` observes each computed row. Rows return
-    in grid order. A dataset, its cache and its queued fits that no row took
-    (after a fit failed) are dropped after its last point, so memory holds
-    the datasets whose points are still to come.
+    The whole grid shares one ``Workers`` holder of ``jobs`` workers, closed
+    before this returns. It keeps every replicate fit and permutation-null
+    fit a row ran, keyed by its task, so points on one dataset reuse them
+    across L_rep and L_perm values and across methods sharing a chain (a
+    BART or DART fit configuration and seed), and each row computes only the
+    fits the holder lacks; seeding makes the reuse exact. Every fit keeps
+    the MI sum, so MI and VIP points share fits, and each chain is fitted
+    once whatever the row order. Points for which ``skip`` returns True are
+    omitted from the output (resume support); ``progress`` observes each
+    computed row. Rows return in grid order. A dataset and the fits the
+    holder kept or queued for it are dropped after its last point, at every
+    ``jobs`` value, so memory holds the datasets whose points are still to
+    come.
 
-    With jobs > 1 the whole grid shares one pool of ``jobs`` worker
-    processes, shut down before this returns. When a dataset's first row
-    starts, every replicate and null fit its points need is queued on the
-    pool (``prefetch_fits``), so the workers never wait between rows; the
-    rows then take their fits from the queue in order. A point whose run
-    cannot be built queues nothing, and its row reports the error. A worker
-    that dies fails only the row whose fit killed it (an error row naming
-    ``BrokenProcessPool``): the queue is dropped with the pool, the row that
-    saw it runs its own fits once more on a new pool, and later rows queue
-    their fits again.
+    With jobs > 1 the fits run on one pool of ``jobs`` worker processes.
+    When a dataset's first row starts, every replicate and null fit its
+    points need is queued on the pool (``prefetch_fits``), so the workers
+    never wait between rows; the rows then take their fits from the holder
+    in order. A point whose run cannot be built queues nothing, and its row
+    reports the error. A worker that dies fails only the row whose fit
+    killed it (an error row naming ``BrokenProcessPool``): the queued fits
+    are dropped with the pool, the fits already kept stay, the row that saw
+    it runs its own lacking fits once more on a new pool, and later rows
+    run theirs again.
     """
     if not points:
         raise BenchmarkError("grid is empty")

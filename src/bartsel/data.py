@@ -37,8 +37,8 @@ class DataError(ValueError):
 class Dataset:
     """A validated regression dataset.
 
-    Datasets compare and hash by identity, so a pool task that carries one
-    can key a queued fit (:meth:`bartsel.sampler.Workers.prefetch`).
+    Datasets compare and hash by identity, so a task that carries one can
+    key a kept fit (:class:`bartsel.sampler.Workers`).
 
     Attributes
     ----------
@@ -298,20 +298,6 @@ class DecisionTree:
         self.cutpoint[i] = float(c)
 
     # -- whole-tree views -----------------------------------------------------
-
-    def copy(self) -> "DecisionTree":
-        t = DecisionTree.__new__(DecisionTree)
-        t.feature = list(self.feature)
-        t.cutpoint = list(self.cutpoint)
-        t.left = list(self.left)
-        t.right = list(self.right)
-        t.parent = list(self.parent)
-        t.value = list(self.value)
-        t.accept_prob = list(self.accept_prob)
-        t.root = self.root
-        t._free = list(self._free)
-        t._leaves = t._prunables = None
-        return t
 
     def validate(self) -> None:
         """Check structural invariants; raises AssertionError on violation."""

@@ -10,20 +10,20 @@ Each method name bundles a split-feature prior with a selection route:
 
 Seed scheme: a run seed expands to per-fit seeds seed + fit_index
 (0-based) and per-permutation seeds seed + 10000 + ell (1-based), so any
-prefix of the replicate fits is reproducible independently. ``run_method``
-can therefore keep replicate fits and null rows in a per-dataset cache and
-grow them by the missing rows only; a grown cache is bit-identical to a
-fresh run. Every fit keeps the MI sum, which only reads the trees after
-each kept draw and draws no random number, so one chain serves every
-method on its prior: MI and VIP methods share their replicate and
-permutation fits, and each null fit gives both a VIP and an MI row.
+prefix of the replicate fits is reproducible independently. Each fit is
+one task of a :class:`~bartsel.sampler.Workers` holder, which keeps its
+result, so runs that share a holder fit each task once: a longer run
+computes only the fits a shorter one lacked, bit-identical to a fresh run.
+Every fit keeps the MI sum, which only reads the trees after each kept draw
+and draws no random number, so one chain serves every method on its prior:
+MI and VIP methods share their replicate and permutation fits, and each
+null fit gives both a VIP and an MI row.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -150,13 +150,13 @@ class MethodResult:
     """One selection run's outcome.
 
     ``runtime_s`` is the wall time of this ``run_method`` call: the time it
-    waited for the fits it lacked, plus summaries and selection. Fits it
-    took from the cache are not timed. In a grid with jobs > 1 every fit of
-    a dataset is queued when its first row starts, so a row waits only for
-    what the pool has not finished yet. The figure therefore depends on the
-    other points and their order: a row that reuses another row's chain
-    (every VIP point after a ``bart-mi-local`` point on the same data, say)
-    reads near zero.
+    waited for the fits its ``Workers`` holder had not kept, plus summaries
+    and selection. Kept fits are not timed. In a grid with jobs > 1 every
+    fit of a dataset is queued when its first row starts, so a row waits
+    only for what the pool has not finished yet. The figure therefore
+    depends on the other points and their order: a row that reuses another
+    row's chain (every VIP point after a ``bart-mi-local`` point on the
+    same data, say) reads near zero.
     """
 
     selection: SelectionResult
@@ -177,9 +177,9 @@ def _fit_one(args) -> PosteriorTrace:
     return fit(dataset, cfg)
 
 
-def _replicate_tasks(dataset, fit_config, seed, start, stop) -> list[tuple]:
-    """The ``_fit_one`` tasks of the replicate fits start .. stop - 1."""
-    return [(dataset, replace(fit_config, seed=seed + i)) for i in range(start, stop)]
+def _replicate_tasks(dataset, fit_config, seed, l_rep) -> list[tuple]:
+    """The ``_fit_one`` tasks of the replicate fits 0 .. l_rep - 1."""
+    return [(dataset, replace(fit_config, seed=seed + i)) for i in range(l_rep)]
 
 
 def fit_replicates(
@@ -188,15 +188,15 @@ def fit_replicates(
     seed: int,
     l_rep: int,
     jobs: int | Workers = 1,
-    start: int = 0,
 ) -> list[PosteriorTrace]:
-    """Independent replicate fits with seeds seed + start .. seed + l_rep - 1.
+    """Independent replicate fits with seeds seed .. seed + l_rep - 1.
 
     ``jobs`` is a worker count, for a pool that lives for this call only, or
-    an open :class:`~bartsel.sampler.Workers`, which is used and left open.
+    an open :class:`~bartsel.sampler.Workers`, which is used and left open
+    and returns the fits it kept without running them again.
     """
     with Workers.borrow(jobs) as workers:
-        return workers.map(_fit_one, _replicate_tasks(dataset, fit_config, seed, start, l_rep))
+        return workers.map(_fit_one, _replicate_tasks(dataset, fit_config, seed, l_rep))
 
 
 def _mean_importance(traces: list[PosteriorTrace], kind: str) -> np.ndarray:
@@ -229,106 +229,69 @@ def select_with_method(
     return mpm_select(_mean_importance(traces, KIND_MPVIP)), None
 
 
-def _grow(rows: list, count: int, compute) -> list:
-    """The first ``count`` of the cached ``rows``, after appending the rows
-    ``compute(len(rows), count)`` makes when the cache holds fewer."""
-    if len(rows) < count:
-        rows += compute(len(rows), count)
-    return rows[:count]
-
-
 _NULL_KINDS = (KIND_VIP, KIND_MI)
-_null_fit_tasks = partial(_null_tasks, kinds=_NULL_KINDS)
 
 
-def _null_rows(dataset, fit_cfg, seed, start, stop, pool) -> list[dict]:
-    """Null rows start .. stop - 1, each a {kind: row} dict of the VIP and the
-    MI row of one fit."""
-    nulls = permutation_null(dataset, _NULL_KINDS, stop, fit_cfg, seed, jobs=pool, start=start)
-    return [dict(zip(_NULL_KINDS, rows)) for rows in zip(*nulls)]
-
-
-def prefetch_fits(
-    dataset: Dataset, configs: list[RunConfig], cache: dict, workers: Workers
-) -> None:
+def prefetch_fits(dataset: Dataset, configs: list[RunConfig], workers: Workers) -> None:
     """Queue on ``workers`` every fit that ``run_method`` calls with these
-    ``configs``, ``dataset`` and ``cache`` will ask for, so the pool works
-    through them without waiting between calls.
+    ``configs`` and ``dataset`` will ask for, so the pool works through them
+    without waiting between calls.
 
-    For each chain these are the replicate and the null fits that ``cache``
-    lacks, up to the largest ``l_rep`` and ``l_perm`` the configs ask of it,
-    queued in the order the configs need them. The tasks are built as
-    ``fit_replicates`` and ``permutation_null`` build theirs, so each of
-    their maps takes its fits from the queue. Does nothing when jobs is 1 or
-    there is at most one fit to queue, which ``run_method`` runs in-process.
+    These are the replicate and the null fits of each chain that ``workers``
+    has not kept or queued, in the order the configs need them. The tasks
+    are built as ``fit_replicates`` and ``permutation_null`` build theirs,
+    so each of their maps takes its fits from the queue. Queues nothing when
+    jobs is 1 or there is at most one such fit, which ``run_method`` then
+    runs in-process.
     """
-    if workers.jobs <= 1:
-        return
-    queued: dict = {}
-    plan: list[tuple] = []
+    calls: dict = {}
     for config in configs:
         fit_cfg = config.fit_config()
-        chain = (fit_cfg, config.seed)
-        wants = [(chain, resolve_l_rep(config.method, config.l_rep), _fit_one, _replicate_tasks)]
+        l_rep = resolve_l_rep(config.method, config.l_rep)
+        wants = [(_fit_one, _replicate_tasks(dataset, fit_cfg, config.seed, l_rep))]
         if METHOD_SPECS[config.method].needs_null:
-            wants.append(((*chain, "null"), config.l_perm, _selection._null_row, _null_fit_tasks))
-        for key, stop, worker, tasks in wants:
-            start = queued.get(key, len(cache.get(key, ())))
-            if start < stop:
-                plan.append((worker, tasks(dataset, fit_cfg, config.seed, start, stop)))
-                queued[key] = stop
-    if sum(len(tasks) for _, tasks in plan) > 1:
-        for worker, tasks in plan:
-            workers.prefetch(worker, tasks)
+            nulls = _null_tasks(dataset, fit_cfg, config.seed, config.l_perm, _NULL_KINDS)
+            wants.append((_selection._null_row, nulls))
+        for worker, tasks in wants:
+            calls.update(dict.fromkeys((worker, task) for task in tasks))
+    lacking = [call for call in calls if call not in workers]
+    if len(lacking) > 1:
+        for worker, task in lacking:
+            workers.prefetch(worker, [task])
 
 
 def run_method(
     dataset: Dataset,
     config: RunConfig,
-    cache: dict | None = None,
     workers: Workers | None = None,
 ) -> MethodResult:
     """Fit, summarize, and select end to end for one dataset.
 
-    ``cache``, if given, belongs to this dataset: it keeps the replicate fits
-    and the null rows across calls, and each call computes only the rows it
-    lacks. Both are keyed by the chain, which is the method's fit
-    configuration and the seed, so methods on the same prior share fits.
-    Every fit keeps the MI sum, and every null row holds a VIP and an MI row.
-
-    The replicate and the null fits share one pool of ``config.jobs``
-    workers, shut down before this returns; with jobs > 1 both are queued
-    at once (``prefetch_fits``), so the null fits start while the replicate
-    fits finish. ``workers``, an open holder the caller closes (``run_grid``
-    passes one per grid), runs them instead; its ``jobs`` must equal
-    ``config.jobs`` (ValueError otherwise).
+    The replicate and the null fits run on one ``Workers`` holder of
+    ``config.jobs`` workers, closed before this returns; with jobs > 1 both
+    are queued at once (``prefetch_fits``), so the null fits start while the
+    replicate fits finish. ``workers``, an open holder the caller closes
+    (``run_grid`` passes one per grid), runs them instead; its ``jobs`` must
+    equal ``config.jobs`` (ValueError otherwise). The holder keeps every fit
+    it ran, keyed by its task (dataset, fit configuration and seed), so calls
+    that share one compute only the fits it lacks: methods on the same prior
+    share a chain, whatever their ``l_rep`` and ``l_perm``. Every fit keeps
+    the MI sum, and every null fit gives a VIP and an MI row.
     """
     if workers is not None and workers.jobs != config.jobs:
         raise ValueError(f"workers hold {workers.jobs} jobs but config.jobs is {config.jobs}")
     spec = METHOD_SPECS[config.method]
     l_rep = resolve_l_rep(config.method, config.l_rep)
     fit_cfg = config.fit_config()
-    chain = (fit_cfg, config.seed)
-    cache = {} if cache is None else cache
     t0 = time.perf_counter()
     null = None
     perm_seeds: list[int] = []
     with Workers.borrow(config.jobs if workers is None else workers) as pool:
-        prefetch_fits(dataset, [config], cache, pool)
-        traces = _grow(
-            cache.setdefault(chain, []),
-            l_rep,
-            lambda start, stop: fit_replicates(
-                dataset, fit_cfg, config.seed, stop, jobs=pool, start=start
-            ),
-        )
+        prefetch_fits(dataset, [config], pool)
+        traces = fit_replicates(dataset, fit_cfg, config.seed, l_rep, jobs=pool)
         if spec.needs_null:
-            rows = _grow(
-                cache.setdefault((*chain, "null"), []),
-                config.l_perm,
-                lambda start, stop: _null_rows(dataset, fit_cfg, config.seed, start, stop, pool),
-            )
-            null = np.stack([row[spec.perm_kind] for row in rows])
+            nulls = permutation_null(dataset, _NULL_KINDS, config.l_perm, fit_cfg, config.seed, pool)
+            null = nulls[_NULL_KINDS.index(spec.perm_kind)]
             perm_seeds = [
                 config.seed + PERMUTATION_SEED_OFFSET + ell for ell in range(1, config.l_perm + 1)
             ]

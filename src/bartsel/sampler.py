@@ -703,34 +703,39 @@ def fit(
 
 
 class Workers:
-    """A pool of ``jobs`` worker processes, held open across many ``map`` calls.
+    """A pool of ``jobs`` worker processes, and the store of every task it ran.
 
     Use it as a context manager: the pool starts on the first call that
     needs it and is shut down on exit, so one selection run or one grid forks
     its workers once. ``map(worker, tasks)`` is ``[worker(t) for t in tasks]``,
-    run in this process when jobs is 1 or there is one task that no
-    ``prefetch`` queued. ``worker`` must be a module-level function so the
-    pool can pickle it. Workers start by the platform's default method (fork
-    on Linux); a spawned worker would import numpy and bartsel again, about
-    0.23-0.26 s and 32 MB per worker on a 2-core x86-64 box, more than the
-    pool saves on short fits.
+    except that each result is kept, keyed by ``(worker, task)``, at every
+    jobs value until ``discard`` drops it or the holder closes: a later
+    ``map`` of an equal (hashable) task returns the kept result without
+    running it again. A long-lived holder therefore keeps every fit it ran
+    until its caller discards them.
 
-    ``prefetch(worker, tasks)`` submits tasks ahead of the ``map`` that will
-    ask for them, so the pool is not left idle between maps: a ``map`` with
-    the same worker and an equal task takes the queued result instead of
-    running the task again. A queued task no ``map`` asks for is held until
-    ``discard`` drops it or the pool closes.
+    The tasks a ``map`` lacks run in this process when jobs is 1, or when
+    there is one and none of the map's tasks is queued; otherwise on the
+    pool. ``worker`` must be a module-level function so the pool can pickle
+    it. Workers start by the platform's default method (fork on Linux); a
+    spawned worker would import numpy and bartsel again, about 0.23-0.26 s
+    and 32 MB per worker on a 2-core x86-64 box, more than the pool saves on
+    short fits.
 
-    If a worker dies, the pool is dropped with every queued task. The ``map``
-    that sees it runs its own tasks once more on a new pool, since any
-    queued task may have killed the worker, and raises ``BrokenProcessPool``
-    if that pool breaks too.
+    ``prefetch(worker, tasks)`` queues tasks ahead of the ``map`` that will
+    ask for them, so the pool is not left idle between maps.
+
+    If a worker dies, the pool is dropped with every queued task, but the
+    kept results stay. The ``map`` that sees it runs its tasks that are not
+    kept once more on a new pool, since any queued task may have killed the
+    worker, and raises ``BrokenProcessPool`` if that pool breaks too.
     """
 
     def __init__(self, jobs: int = 1) -> None:
         self.jobs = jobs
         self._pool: ProcessPoolExecutor | None = None
-        self._queued: dict[tuple, Future] = {}
+        # (worker, task) -> the task's result, or its Future while queued
+        self._kept: dict[tuple, object] = {}
 
     @staticmethod
     def borrow(jobs: int | Workers):
@@ -744,10 +749,21 @@ class Workers:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
+    def __contains__(self, call: tuple) -> bool:
+        """Whether the ``(worker, task)`` call is kept or queued."""
+        return call in self._kept
+
     def close(self) -> None:
-        """Shut the pool down, cancelling every task that has not started."""
+        """Shut the pool down, cancelling every task that has not started,
+        and drop every kept result."""
+        self._drop_pool()
+        self._kept.clear()
+
+    def _drop_pool(self) -> None:
+        """Shut the pool down and drop the queued Futures, keeping the results."""
         pool, self._pool = self._pool, None
-        self._queued.clear()
+        for call in [call for call, kept in self._kept.items() if isinstance(kept, Future)]:
+            del self._kept[call]
         if pool is not None:
             pool.shutdown(cancel_futures=True)
 
@@ -757,43 +773,51 @@ class Workers:
         return self._pool.submit(worker, task)
 
     def prefetch(self, worker, tasks: list) -> None:
-        """Queue ``tasks`` (hashable) on the pool now; does nothing when jobs is 1."""
+        """Queue the ``tasks`` the store lacks on the pool now; does nothing
+        when jobs is 1."""
         if self.jobs <= 1:
             return
         try:
             for task in tasks:
-                if (worker, task) not in self._queued:
-                    self._queued[worker, task] = self._submit(worker, task)
+                if (worker, task) not in self._kept:
+                    self._kept[worker, task] = self._submit(worker, task)
         except BrokenProcessPool:
-            self.close()  # a queued task killed a worker; each map runs its own again
+            self._drop_pool()  # a queued task killed a worker; each map runs its own again
 
     def discard(self, item) -> None:
-        """Cancel and drop the queued tasks, tuples, that hold ``item``."""
-        for key in [key for key in self._queued if any(x is item for x in key[1])]:
-            self._queued.pop(key).cancel()
+        """Drop the kept results and cancel the queued tasks, tuples, that hold ``item``."""
+        for call in [call for call in self._kept if any(x is item for x in call[1])]:
+            kept = self._kept.pop(call)
+            if isinstance(kept, Future):
+                kept.cancel()
 
     def map(self, worker, tasks: list) -> list:
-        if self.jobs <= 1:
-            return [worker(t) for t in tasks]
-        queued = [self._queued.pop((worker, t), None) for t in tasks]
-        if len(tasks) < 2 and all(f is None for f in queued):
-            return [worker(t) for t in tasks]
+        calls = [(worker, t) for t in tasks]
+        lacking = [call for call in dict.fromkeys(calls) if call not in self._kept]
+        queued = any(isinstance(self._kept.get(call), Future) for call in calls)
+        if self.jobs <= 1 or (len(lacking) < 2 and not queued):
+            for call in lacking:
+                self._kept[call] = worker(call[1])
+            return [self._kept[call] for call in calls]
         try:
-            return self._collect(worker, tasks, queued)
+            return self._collect(calls)
         except BrokenProcessPool:
-            self.close()
+            self._drop_pool()
         try:
-            return self._collect(worker, tasks, [None] * len(tasks))
+            return self._collect(calls)
         except BrokenProcessPool:
-            self.close()
+            self._drop_pool()
             raise
 
-    def _collect(self, worker, tasks: list, queued: list) -> list:
-        futures = []
-        try:
-            for f, task in zip(queued, tasks):
-                futures.append(self._submit(worker, task) if f is None else f)
-            return [f.result() for f in futures]
-        finally:
-            for f in futures:
-                f.cancel()
+    def _collect(self, calls: list) -> list:
+        """Submit the calls the store lacks, then wait for each result and keep it."""
+        for call in calls:
+            if call not in self._kept:
+                self._kept[call] = self._submit(*call)
+        out = []
+        for call in calls:
+            kept = self._kept[call]
+            if isinstance(kept, Future):
+                kept = self._kept[call] = kept.result()
+            out.append(kept)
+        return out

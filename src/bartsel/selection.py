@@ -221,11 +221,11 @@ def _null_row(args) -> list[np.ndarray]:
         raise FitError(f"permutation {index} (seed {perm_seed}) failed: {exc}") from exc
 
 
-def _null_tasks(dataset, config, seed, start, stop, kinds) -> list[tuple]:
-    """The ``_null_row`` tasks of the permutations ell = start + 1 .. stop."""
+def _null_tasks(dataset, config, seed, l_perm, kinds) -> list[tuple]:
+    """The ``_null_row`` tasks of the permutations ell = 1 .. l_perm."""
     return [
         (dataset, config, seed + PERMUTATION_SEED_OFFSET + ell, kinds, ell)
-        for ell in range(start + 1, stop + 1)
+        for ell in range(1, l_perm + 1)
     ]
 
 
@@ -236,12 +236,10 @@ def permutation_null(
     config: FitConfig,
     seed: int,
     jobs: int | Workers = 1,
-    start: int = 0,
 ) -> np.ndarray | tuple[np.ndarray, ...]:
-    """Null importance matrix ((l_perm - start) x p) of the permutations
-    ell = start + 1 .. l_perm: row ell comes from one fit on a uniformly
-    permuted response, seeded seed + 10000 + ell, so any block of rows
-    equals the same rows of the full null.
+    """Null importance matrix (l_perm x p): row ell comes from one fit on a
+    uniformly permuted response, seeded seed + 10000 + ell, so a shorter
+    null is a prefix of a longer one.
 
     ``importance_kind`` is one kind, or a tuple of kinds for a tuple of
     matrices, one per kind, read from the same fits. The MI sum draws no
@@ -249,17 +247,16 @@ def permutation_null(
     its fit also keeps it.
 
     ``jobs`` is a worker count, for a pool that lives for this call only, or
-    an open :class:`~bartsel.sampler.Workers`, which is used and left open.
+    an open :class:`~bartsel.sampler.Workers`, which is used and left open
+    and returns the null rows it kept without fitting them again.
     """
     kinds = (importance_kind,) if isinstance(importance_kind, str) else tuple(importance_kind)
     if not kinds or any(kind not in (KIND_VIP, KIND_MI) for kind in kinds):
         raise ValueError(f"unsupported null importance kind {importance_kind!r}")
     if l_perm < 1:
         raise ValueError("l_perm must be >= 1")
-    if not 0 <= start < l_perm:
-        raise ValueError(f"start must lie in [0, l_perm), got {start}")
     with Workers.borrow(jobs) as workers:
-        rows = workers.map(_null_row, _null_tasks(dataset, config, seed, start, l_perm, kinds))
+        rows = workers.map(_null_row, _null_tasks(dataset, config, seed, l_perm, kinds))
     nulls = tuple(np.stack(column) for column in zip(*rows))
     return nulls[0] if isinstance(importance_kind, str) else nulls
 

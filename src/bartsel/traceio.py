@@ -38,6 +38,7 @@ import json
 import math
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -196,6 +197,9 @@ def _check_json_type(value, annotation: str, what: str) -> None:
 
 
 def _fit_overrides(raw: dict, where: str) -> tuple[tuple[str, object], ...]:
+    """A point's ``fit`` object as sorted (field, value) pairs. A number for a
+    float field is kept as a float, and a value equal to ``FitConfig``'s
+    default is left out, so equal configs give equal pairs (and resume keys)."""
     if not isinstance(raw, dict):
         raise GridFileError(f"{where}: 'fit' must be an object")
     out = {}
@@ -207,8 +211,10 @@ def _fit_overrides(raw: dict, where: str) -> tuple[tuple[str, object], ...]:
             setter = _FIT_SET_ELSEWHERE[field_name]
             raise GridFileError(f"{where}: fit option {key!r} is set by {setter}")
         _check_json_type(value, _FIT_TYPES[field_name], f"{where}: fit option {key!r}")
+        if _FIT_TYPES[field_name].startswith("float") and value is not None:
+            value = float(value)
         out[field_name] = value
-    return tuple(sorted(out.items()))
+    return tuple(sorted((k, v) for k, v in out.items() if v != getattr(FitConfig, k)))
 
 
 def _parse_snr(value, where: str) -> float | None:
@@ -329,9 +335,26 @@ def _blocks(header: dict) -> list[tuple[str, str, tuple[int, ...]]]:
     return blocks
 
 
+@contextmanager
+def _replacing(path, mode: str = "w"):
+    """Open a temporary file beside ``path`` for writing, in text mode as
+    UTF-8 unless ``mode`` is binary. When the block ends it replaces
+    ``path``, so a reader never sees a half-written file; if the block
+    raises, it is removed and ``path`` is left as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    text = {} if "b" in mode else {"newline": "", "encoding": "utf-8"}
+    try:
+        with tmp.open(mode, **text) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_trace(trace: PosteriorTrace, path) -> None:
     """Write ``trace`` as a version-3 trace file (see the module docstring)."""
-    path = Path(path)
     header = {
         "n_kept": trace.n_kept,
         "p": int(trace.p),
@@ -344,7 +367,7 @@ def write_trace(trace: PosteriorTrace, path) -> None:
         "nnz": int(trace.count.size),
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with path.open("wb") as fh:
+    with _replacing(path, "wb") as fh:
         fh.write(TRACE_MAGIC)
         fh.write(bytes([TRACE_VERSION]))
         fh.write(struct.pack("<I", len(header_bytes)))
@@ -475,9 +498,8 @@ class ResultsDocument:
         return cls(**d)
 
     def save(self, path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        with _replacing(path) as fh:
+            fh.write(json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
 
     @classmethod
     def load(cls, path) -> "ResultsDocument":
@@ -524,10 +546,9 @@ def build_results_document(
 
 def write_importance_csv(path, document: ResultsDocument) -> None:
     """Per-feature importance table, one row per feature in column order."""
-    path = Path(path)
     has_thr = document.thresholds is not None
     selected = set(document.selected_indices)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         header = ["index", "feature", "importance"]
         if has_thr:
@@ -635,8 +656,7 @@ def record_key(record: dict[str, str]) -> tuple[str, ...]:
 
 
 def write_metrics_csv(path, records: list[dict[str, str]]) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         writer = csv.DictWriter(fh, fieldnames=METRICS_COLUMNS, lineterminator="\n")
         writer.writeheader()
         for rec in records:
@@ -683,8 +703,7 @@ AGGREGATE_COLUMNS = ["method", "n", "snr", "rows", "mean_tpr", "mean_fpr", "mean
 
 
 def write_aggregate_csv(path, records: list[dict[str, str]]) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         writer = csv.DictWriter(fh, fieldnames=AGGREGATE_COLUMNS, lineterminator="\n")
         writer.writeheader()
         for rec in aggregate_records(records):

@@ -15,6 +15,7 @@ only tests use, so they live here and not in the package.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -419,7 +420,7 @@ class MaskScanSampler(EnsembleSampler):
         s_parent = float(r_rows.sum())
         s_left = float(r_rows[go_left].sum())
         s_right = s_parent - s_left
-        grown = tree.copy()
+        grown = copy.deepcopy(tree)
         grown.split_leaf(node, j, c)
         log_r = _ref_birth_kernel_and_prior(
             tree, node, len(leaves), len(tree_prunables(grown)), self.config

@@ -1,6 +1,7 @@
 """Tests for the synthetic benchmark: expression parsing, data generation,
 selection metrics, and the grid runner."""
 
+import collections
 import dataclasses
 import gc
 import os
@@ -12,7 +13,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
-from bartsel import benchmark, methods, sampler
+from bartsel import benchmark, methods, sampler, selection
 from bartsel.benchmark import (
     BenchmarkError,
     EquationSpec,
@@ -335,6 +336,7 @@ def fast_point(**kwargs):
 # fit seeds of the grid row whose fits _fit_or_die and its variants fail
 DOOMED_SEEDS = frozenset({51, 52})
 _real_fit_one = methods._fit_one
+_real_null_row = selection._null_row
 
 # grid-r2's methods and l_perm values (perfbench/workloads.py), at l_rep=2
 GRID_R2_METHODS = (
@@ -610,24 +612,38 @@ class TestRunGrid:
         ]
 
 
-def count_fits(monkeypatch) -> dict:
-    """Count the replicate and the permutation fits run in this process."""
-    from bartsel import selection
+# replicate and permutation fits run in this process (see count_fits)
+_RUN_HERE: collections.Counter = collections.Counter()
 
-    calls = {"replicate": 0, "null": 0}
-    real_null_row = selection._null_row
 
-    def fit_one(task):
-        calls["replicate"] += 1
-        return _real_fit_one(task)
+def _counted_fit_one(task):
+    _RUN_HERE["replicate"] += 1
+    return _real_fit_one(task)
 
-    def null_row(task):
-        calls["null"] += 1
-        return real_null_row(task)
 
-    monkeypatch.setattr(methods, "_fit_one", fit_one)
-    monkeypatch.setattr(selection, "_null_row", null_row)
-    return calls
+def _counted_null_row(task):
+    _RUN_HERE["null"] += 1
+    return _real_null_row(task)
+
+
+def count_fits(monkeypatch):
+    """Count the replicate and the permutation fits; returns a function that
+    gives the counts so far: the fits run in this process plus the fits
+    submitted to a pool (a forked worker's own count is lost with it)."""
+    submitted: list = []
+    count_pools(monkeypatch, submitted)
+    _RUN_HERE.clear()
+    monkeypatch.setattr(methods, "_fit_one", _counted_fit_one)
+    monkeypatch.setattr(selection, "_null_row", _counted_null_row)
+
+    def counts() -> dict:
+        pooled = collections.Counter(name for name, *_ in submitted)
+        return {
+            "replicate": _RUN_HERE["replicate"] + pooled["_counted_fit_one"],
+            "null": _RUN_HERE["null"] + pooled["_counted_null_row"],
+        }
+
+    return counts
 
 
 class TestOneFitPerChain:
@@ -641,7 +657,7 @@ class TestOneFitPerChain:
         pts = [mi, local, gse] if mi_first else [local, gse, mi]
         calls = count_fits(monkeypatch)
         rows = run_grid(pts, jobs=1)
-        assert calls == {"replicate": 2, "null": 6}
+        assert calls() == {"replicate": 2, "null": 6}
         monkeypatch.undo()
         for row, pt in zip(rows, pts, strict=True):
             assert row.error is None
@@ -653,32 +669,67 @@ class TestOneFitPerChain:
         rows = run_grid([bad, fast_point(method="bart-vip-local", l_rep=2, l_perm=3)])
         assert rows[0].error.startswith("TypeError") and rows[1].error is None
 
-    def test_mi_and_vip_requests_grow_one_cache(self, monkeypatch):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_mi_and_vip_requests_share_one_holder(self, monkeypatch, jobs):
         dataset = generate_dataset(REGISTRY["product2"], 40, 5.0, 1, seed=3)
         fit_cfg = fast_point().fit_config()
-        vip = RunConfig(method="bart-vip-local", fit=fit_cfg, l_rep=2, l_perm=3, seed=4)
+        vip = RunConfig(method="bart-vip-local", fit=fit_cfg, l_rep=2, l_perm=3, seed=4, jobs=jobs)
         mi = dataclasses.replace(vip, method="bart-mi-local", l_rep=3, l_perm=4)
         vip_more = dataclasses.replace(vip, l_rep=4, l_perm=5)
         mi_more = dataclasses.replace(mi, l_rep=4, l_perm=5)
         calls = count_fits(monkeypatch)
-        cache: dict = {}
         results = []
-        # (request, replicate and null fits it runs on the shared cache)
+        # (request, replicate and null fits it runs on the shared holder)
         steps = [
             (vip, (2, 3)),
-            (mi, (1, 1)),  # the VIP request's fits carry MI: only the missing rows run
+            (mi, (1, 1)),  # the VIP request's fits carry MI: only the lacking fits run
             (dataclasses.replace(vip, l_rep=3, l_perm=4), (0, 0)),
             (vip_more, (1, 1)),
             (mi_more, (0, 0)),
         ]
-        for config, (n_rep, n_null) in steps:
-            before = dict(calls)
-            results.append((config, run_method(dataset, config, cache=cache)))
-            assert calls["replicate"] - before["replicate"] == n_rep
-            assert calls["null"] - before["null"] == n_null
+        with Workers(jobs) as workers:
+            for config, (n_rep, n_null) in steps:
+                before = calls()
+                results.append((config, run_method(dataset, config, workers=workers)))
+                after = calls()
+                assert after["replicate"] - before["replicate"] == n_rep
+                assert after["null"] - before["null"] == n_null
         monkeypatch.undo()
-        for config, grown in results:
+        for config, shared in results:
+            lone = run_method(dataset, dataclasses.replace(config, jobs=1))
+            assert shared.selection.selected == lone.selection.selected
+            np.testing.assert_array_equal(shared.importance, lone.importance)
+            np.testing.assert_array_equal(shared.null, lone.null)
+
+    def test_a_shared_holder_computes_each_fit_once(self, monkeypatch):
+        dataset = generate_dataset(REGISTRY["product2"], 40, 5.0, 1, seed=3)
+        fit_cfg = fast_point().fit_config()
+        configs = [
+            RunConfig(method=method, fit=fit_cfg, l_rep=2, l_perm=l_perm, seed=4)
+            for method, l_perm in GRID_R2_METHODS
+        ]
+        calls = count_fits(monkeypatch)
+        with Workers(1) as workers:
+            first = [run_method(dataset, config, workers=workers) for config in configs]
+            # 2 BART and 2 DART replicate fits, and the 6 null fits of the BART chain
+            assert calls() == {"replicate": 4, "null": 6}
+            again = [run_method(dataset, config, workers=workers) for config in configs]
+            assert calls() == {"replicate": 4, "null": 6}
+        for a, b in zip(first, again, strict=True):
+            assert a.selection.selected == b.selection.selected
+            np.testing.assert_array_equal(a.importance, b.importance)
+
+    def test_chains_that_share_a_task_fit_it_once(self, monkeypatch):
+        dataset = generate_dataset(REGISTRY["product2"], 40, 5.0, 1, seed=3)
+        # seed 4's replicate 1 and seed 5's replicate 0 are the same fit (seed 5)
+        four = RunConfig(method="bart-vc-measure", fit=fast_point().fit_config(), l_rep=2, seed=4)
+        five = dataclasses.replace(four, seed=5)
+        calls = count_fits(monkeypatch)
+        with Workers(1) as workers:
+            shared = [run_method(dataset, config, workers=workers) for config in (four, five)]
+        assert calls() == {"replicate": 3, "null": 0}
+        monkeypatch.undo()
+        for config, result in zip((four, five), shared, strict=True):
             lone = run_method(dataset, config)
-            assert grown.selection.selected == lone.selection.selected
-            np.testing.assert_array_equal(grown.importance, lone.importance)
-            np.testing.assert_array_equal(grown.null, lone.null)
+            assert result.selection.selected == lone.selection.selected
+            np.testing.assert_array_equal(result.importance, lone.importance)

@@ -3,7 +3,9 @@ and the command-line interface built on them."""
 
 import csv
 import dataclasses
+import errno
 import importlib
+import io
 import json
 import os
 import pkgutil
@@ -39,6 +41,7 @@ from bartsel.traceio import (
     read_metrics_csv,
     read_trace,
     record_key,
+    write_aggregate_csv,
     write_importance_csv,
     write_metrics_csv,
     write_trace,
@@ -691,6 +694,59 @@ class TestMetricsCsv:
 # -- CLI: fit ---------------------------------------------------------------------
 
 
+class _FillsUp:
+    """A file on a disk with ``room`` bytes left: the write that would pass
+    it raises ENOSPC, as on a full disk."""
+
+    def __init__(self, fh, room: int):
+        self._fh, self._room = fh, room
+
+    def write(self, data):
+        self._room -= len(data) if isinstance(data, (str, bytes)) else memoryview(data).nbytes
+        if self._room < 0:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self._fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._fh.close()
+
+
+class TestAtomicWrites:
+    """Each output writer replaces its file whole: a writer that fails
+    mid-file leaves the previous file byte-equal and no temporary file."""
+
+    @pytest.mark.parametrize(
+        "name", ["trace.bvc", "results.json", "importance.csv", "metrics.csv", "aggregate.csv"]
+    )
+    def test_failed_write_keeps_the_previous_file(self, name, mpm_document, tmp_path, monkeypatch):
+        trace = random_trace(np.random.default_rng(3), 6, 4)
+        records = [grid_row_to_record(sample_row(i)) for i in range(3)]
+        write = {
+            "trace.bvc": lambda path: write_trace(trace, path),
+            "results.json": mpm_document.save,
+            "importance.csv": lambda path: write_importance_csv(path, mpm_document),
+            "metrics.csv": lambda path: write_metrics_csv(path, records),
+            "aggregate.csv": lambda path: write_aggregate_csv(path, records),
+        }[name]
+        path = tmp_path / name
+        write(path)
+        before = path.read_bytes()
+        real_open = io.open
+        # the disk fills up half way through the same write
+        monkeypatch.setattr(io, "open", lambda *a, **k: _FillsUp(real_open(*a, **k), len(before) // 2))
+        with pytest.raises(OSError, match="No space left"):
+            write(path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == [name]
+
+
 class TestCliFit:
     def test_fit_writes_readable_trace(self, runner, signal_csv, tmp_path):
         out = tmp_path / "nested" / "fit.trace"
@@ -1005,6 +1061,31 @@ class TestCliBenchmark:
         assert [resumed[0], resumed[2]] == [full[0], full[2]]
         assert resumed[1]["fit"] == '{"burn_in":20,"n_draws":20,"n_trees":6}'
         assert {**resumed[1], "runtime_s": ""} == {**fresh[1], "runtime_s": ""}
+
+    def test_resume_key_follows_the_fit_config(self, runner, tmp_path):
+        # "k_leaf": 2, 2.0 and no k_leaf at all are one FitConfig (2.0 is its default)
+        spellings = {"int": 2, "float": 2.0, "absent": None}
+
+        def payload(k_leaf):
+            point = _fit_only_point(4)
+            if k_leaf is not None:
+                point["fit"]["k_leaf"] = k_leaf
+            return {**FIT_GRID, "points": [point]}
+
+        for first, k_leaf in spellings.items():
+            grid, out = run_benchmark(runner, tmp_path, first, payload(k_leaf))
+            before = (out / "metrics.csv").read_bytes()
+            for other in spellings.values():
+                write_grid(grid, payload(other))
+                result = runner.invoke(
+                    main, ["benchmark", str(grid), "--out", str(out), "--resume"]
+                )
+                assert result.exit_code == 0, result.output
+                assert "resume: keeping 1 of 1 rows\n" in result.output, (first, other)
+                assert (out / "metrics.csv").read_bytes() == before
+        (pt,), _ = load_grid_file(write_grid(tmp_path / "k3.json", payload(3)))
+        assert pt.fit_overrides == (("burn_in", 20), ("k_leaf", 3.0), ("n_draws", 20), ("n_trees", 4))
+        assert type(dict(pt.fit_overrides)["k_leaf"]) is float
 
     def test_resume_keeps_identical_points(self, runner, tmp_path):
         payload = {**FIT_GRID, "points": [FIT_GRID["points"][0]] * 2}

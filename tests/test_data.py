@@ -199,7 +199,7 @@ class TestTreeArena:
                     node = leaves[int(rng.integers(len(leaves)))]
                     tree.split_leaf(node, int(rng.integers(3)), float(rng.normal()))
                     allocated += 2
-                for t in (tree, tree.copy()):
+                for t in (tree, copy.deepcopy(tree)):
                     t.validate()
                     assert t.node_ids() == tree_live(tree)
                     assert t.leaf_ids() == tree_leaves(tree)
@@ -208,7 +208,7 @@ class TestTreeArena:
                     assert t.n_leaves() == len(tree_leaves(tree))
             reused += allocated - tree.arena_size
             # a copy is independent of the tree it came from
-            dup = tree.copy()
+            dup = copy.deepcopy(tree)
             dup.split_leaf(dup.leaf_ids()[0], 0, 0.0)
             assert tree.node_ids() == tree_live(tree) and tree.n_leaves() + 1 == dup.n_leaves()
         assert reused > 0  # freed slots were handed out again
@@ -238,7 +238,7 @@ class TestTreeArena:
 
     def test_copy_is_independent(self):
         tree = DecisionTree.stump(1.0)
-        dup = tree.copy()
+        dup = copy.deepcopy(tree)
         dup.split_leaf(dup.root, 0, 0.0)
         assert tree.n_leaves() == 1 and dup.n_leaves() == 2
 
@@ -250,7 +250,7 @@ class TestTreeArena:
         assert tree.leaf_ids() == [r, ll, lr] and tree.prunable_ids() == [l]
         tree.set_rule(l, 2, -1.0)  # a rule swap keeps both sets
         assert tree.leaf_ids() == [r, ll, lr] and tree.prunable_ids() == [l]
-        dup = tree.copy()
+        dup = copy.deepcopy(tree)
         tree.prune(l)
         assert tree.leaf_ids() == [l, r] and tree.prunable_ids() == [tree.root]
         assert dup.leaf_ids() == [r, ll, lr] and dup.prunable_ids() == [l]

@@ -7,16 +7,18 @@ from click.testing import CliRunner
 
 from bartsel import METHOD_NAMES, FitConfig, RunConfig, run_method, validate_dataset
 from bartsel.cli import main
-from bartsel.methods import METHOD_SPECS, resolve_l_rep
+from bartsel.methods import METHOD_SPECS, fit_replicates, resolve_l_rep
+from bartsel.sampler import Workers
 
 CLUSTER_METHODS = {name for name, spec in METHOD_SPECS.items() if spec.route == "cluster"}
 
 
-def split_features(cache: dict, config: RunConfig) -> set[int]:
-    """1-based features split on in any kept draw of the run's replicate fits."""
-    traces = cache[(config.fit_config(), config.seed)]
+def split_features(dataset, config: RunConfig, workers: Workers) -> set[int]:
+    """1-based features split on in any kept draw of the run's replicate
+    fits, which ``workers`` kept."""
     l_rep = resolve_l_rep(config.method, config.l_rep)
-    return {int(j) + 1 for trace in traces[:l_rep] for j in trace.feature}
+    traces = fit_replicates(dataset, config.fit_config(), config.seed, l_rep, jobs=workers)
+    return {int(j) + 1 for trace in traces for j in trace.feature}
 
 
 def test_constant_columns_are_never_selected():
@@ -28,12 +30,12 @@ def test_constant_columns_are_never_selected():
     X[:, 5] = -1.0
     dataset = validate_dataset(X[:, 0] * X[:, 1] + rng.normal(0.0, 0.5, 200), X)
     fit = FitConfig(n_trees=10, burn_in=100, n_draws=100)
-    cache: dict = {}
-    for method in METHOD_NAMES:
-        config = RunConfig(method=method, fit=fit, l_rep=3, l_perm=5, seed=2)
-        selected = run_method(dataset, config, cache=cache).selection.selected
-        assert not selected & {5, 6}, method
-        assert {1, 2} <= selected, method
+    with Workers(1) as workers:
+        for method in METHOD_NAMES:
+            config = RunConfig(method=method, fit=fit, l_rep=3, l_perm=5, seed=2)
+            selected = run_method(dataset, config, workers=workers).selection.selected
+            assert not selected & {5, 6}, method
+            assert {1, 2} <= selected, method
 
 
 def edge_cases() -> dict:
@@ -65,13 +67,13 @@ def test_every_method_gives_a_result_or_a_named_error(name):
     fit = FitConfig(n_trees=2, burn_in=5, n_draws=5)
     for method in METHOD_NAMES:
         config = RunConfig(method=method, fit=fit, l_rep=2, l_perm=2, seed=3)
-        cache: dict = {}
-        if dataset.p == 1 and method in CLUSTER_METHODS:
-            with pytest.raises(ValueError, match="clustering selection needs p >= 2"):
-                run_method(dataset, config, cache=cache)
-            continue
-        selected = run_method(dataset, config, cache=cache).selection.selected
-        assert selected <= split_features(cache, config), (name, method)
+        with Workers(1) as workers:
+            if dataset.p == 1 and method in CLUSTER_METHODS:
+                with pytest.raises(ValueError, match="clustering selection needs p >= 2"):
+                    run_method(dataset, config, workers=workers)
+                continue
+            selected = run_method(dataset, config, workers=workers).selection.selected
+            assert selected <= split_features(dataset, config, workers), (name, method)
 
 
 def write_case_csv(path, y, X) -> None:

@@ -11,8 +11,10 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import signal
 import time
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -701,26 +703,61 @@ def _pid_of(task) -> int:
     return os.getpid()
 
 
+def _new_object(task) -> object:
+    """A new object per run, so a kept result is told from a rerun by
+    identity. A ("kill", i) task kills its process by SIGKILL instead, as
+    the out-of-memory killer would."""
+    if task[0] == "kill":
+        os.kill(os.getpid(), signal.SIGKILL)
+    return object()
+
+
 class TestWorkers:
     def test_single_prefetched_task_is_taken_from_its_future(self):
         with Workers(2) as workers:
             workers.prefetch(_pid_of, ["a"])
-            assert workers.map(_pid_of, ["a"]) != [os.getpid()]
-            assert workers._queued == {}
-            assert workers.map(_pid_of, ["a"]) == [os.getpid()]  # not queued: runs here
+            (pid,) = workers.map(_pid_of, ["a"])
+            assert pid != os.getpid()
+            assert workers.map(_pid_of, ["a"]) == [pid]  # kept: not run again
+            assert workers.map(_pid_of, ["b"]) == [os.getpid()]  # not queued: runs here
 
     def test_prefetch_does_nothing_at_one_job(self):
         with Workers(1) as workers:
             workers.prefetch(_pid_of, ["a", "b"])
-            assert workers._pool is None and workers._queued == {}
+            assert workers._pool is None and (_pid_of, "a") not in workers
             assert workers.map(_pid_of, ["a", "b"]) == [os.getpid()] * 2
+            assert (_pid_of, "a") in workers
 
     def test_close_cancels_queued_tasks(self):
         workers = Workers(2)
-        workers.prefetch(time.sleep, [0.1 + 0.001 * i for i in range(12)])
-        futures = list(workers._queued.values())
+        delays = [0.1 + 0.001 * i for i in range(12)]
+        workers.prefetch(time.sleep, delays)
+        futures = list(workers._kept.values())
         workers.close()
         # the running sleeps and the few already in the pool's call queue
         # finish; the rest never start
         assert all(f.done() for f in futures) and any(f.cancelled() for f in futures)
-        assert workers._pool is None and workers._queued == {}
+        assert workers._pool is None
+        assert not any((time.sleep, d) in workers for d in delays)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_kept_task_is_not_run_again(self, jobs):
+        with Workers(jobs) as workers:
+            first = workers.map(_new_object, [("a", 1), ("a", 2)])
+            again = workers.map(_new_object, [("a", 2), ("b", 1), ("a", 1)])
+            assert again[0] is first[1] and again[2] is first[0]
+            assert (_new_object, ("b", 1)) in workers
+            workers.discard("a")
+            assert (_new_object, ("a", 1)) not in workers and (_new_object, ("b", 1)) in workers
+            assert workers.map(_new_object, [("a", 1)])[0] is not first[0]
+        assert (_new_object, ("b", 1)) not in workers  # closing drops every result
+
+    def test_results_kept_before_a_killed_worker_are_not_run_again(self):
+        kept = [("keep", 1), ("keep", 2)]
+        with Workers(2) as workers:
+            first = workers.map(_new_object, kept)
+            with pytest.raises(BrokenProcessPool):
+                workers.map(_new_object, [*kept, ("kill", 3), ("kill", 4)])
+            again = workers.map(_new_object, kept)
+            assert again[0] is first[0] and again[1] is first[1]
+            assert (_new_object, ("kill", 3)) not in workers

@@ -242,14 +242,13 @@ class TestPermutationNull:
             trace = fit(ds.with_response(y_star), cfg, rng=rng)
             np.testing.assert_array_equal(null[ell - 1], vip(trace).values)
 
-    def test_start_gives_the_same_rows_as_the_full_null(self):
+    def test_a_shorter_null_is_a_prefix_of_the_full_null(self):
         ds = tiny_dataset(12)
         full = permutation_null(ds, "vip", 5, FAST, seed=21)
-        tail = permutation_null(ds, "vip", 5, FAST, seed=21, start=2)
-        assert tail.shape == (3, ds.p)
-        np.testing.assert_array_equal(tail, full[2:])
-        with pytest.raises(ValueError, match="start"):
-            permutation_null(ds, "vip", 5, FAST, seed=21, start=5)
+        for l_perm in (1, 3):
+            head = permutation_null(ds, "vip", l_perm, FAST, seed=21)
+            assert head.shape == (l_perm, ds.p)
+            np.testing.assert_array_equal(head, full[:l_perm])
 
     def test_distinct_rows_across_permutations(self):
         ds = tiny_dataset(7)
@@ -286,8 +285,8 @@ class TestPermutationNull:
         vip_null, mi_null = permutation_null(ds, ("vip", "mi"), 3, FAST, seed=5)
         np.testing.assert_array_equal(vip_null, permutation_null(ds, "vip", 3, FAST, seed=5))
         np.testing.assert_array_equal(mi_null, permutation_null(ds, "mi", 3, FAST, seed=5))
-        (tail,) = permutation_null(ds, ("mi",), 3, FAST, seed=5, start=1)
-        np.testing.assert_array_equal(tail, mi_null[1:])
+        (head,) = permutation_null(ds, ("mi",), 2, FAST, seed=5)
+        np.testing.assert_array_equal(head, mi_null[:2])
 
     def test_vip_row_is_the_same_with_and_without_the_mi_log(self):
         from dataclasses import replace
